@@ -113,16 +113,16 @@ pub fn emit_pagemap_walk(cpu: &mut Engine, nodes: [Addr; 3], ptr_reg: Reg) -> Re
     dep
 }
 
-/// Emits the sampling check: load the byte counter, subtract the rounded
-/// size, branch on the threshold, store back. The branch mispredicts on the
-/// (rare) sampled calls.
-pub fn emit_sampling_sw(cpu: &mut Engine, alloc_size_reg: Reg, sampled: bool) {
+/// Emits the sampling check on the byte counter at `counter`: load it,
+/// subtract the rounded size, branch on the threshold, store back. The
+/// branch mispredicts on the (rare) sampled calls.
+pub fn emit_sampling_sw(cpu: &mut Engine, counter: Addr, alloc_size_reg: Reg, sampled: bool) {
     let cnt = cpu.alloc_reg();
-    cpu.push(Uop::load(layout::sampler_counter(), cnt, &[]));
+    cpu.push(Uop::load(counter, cnt, &[]));
     let dec = cpu.alloc_reg();
     cpu.push(Uop::alu(1, Some(dec), &[cnt, alloc_size_reg]));
     cpu.push(Uop::branch(sampled, &[dec]));
-    cpu.push(Uop::store(layout::sampler_counter(), &[dec]));
+    cpu.push(Uop::store(counter, &[dec]));
     if sampled {
         // Stack-trace capture on the sampled path: a burst of dependent
         // work (unwinder walks + stores), rare but expensive.
@@ -130,7 +130,7 @@ pub fn emit_sampling_sw(cpu: &mut Engine, alloc_size_reg: Reg, sampled: bool) {
         for i in 0..48 {
             let d = cpu.alloc_reg();
             if i % 3 == 2 {
-                cpu.push(Uop::store(layout::sampler_counter() + 64 + i, &[dep]));
+                cpu.push(Uop::store(counter + 64 + i, &[dep]));
             } else {
                 cpu.push(Uop::alu(1, Some(d), &[dep]));
                 dep = d;
@@ -327,11 +327,11 @@ mod tests {
     fn sampled_call_is_much_longer() {
         let mut a = cpu();
         let ra = a.alloc_reg();
-        emit_sampling_sw(&mut a, ra, false);
+        emit_sampling_sw(&mut a, layout::sampler_counter(), ra, false);
         let end_plain = a.now();
         let mut b = cpu();
         let rb = b.alloc_reg();
-        emit_sampling_sw(&mut b, rb, true);
+        emit_sampling_sw(&mut b, layout::sampler_counter(), rb, true);
         let end_sampled = b.now();
         assert!(end_sampled > end_plain + 20);
     }
