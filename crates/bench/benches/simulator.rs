@@ -9,7 +9,7 @@ use mallacc_ooo::{CoreConfig, Engine, Uop};
 use mallacc_tcmalloc::TcMalloc;
 
 fn cache_hierarchy(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate/cache");
+    let mut g = c.benchmark_group("layer/cache");
     g.throughput(Throughput::Elements(1024));
     g.bench_function("l1_hit_access", |b| {
         let mut h = Hierarchy::default();
@@ -36,7 +36,7 @@ fn cache_hierarchy(c: &mut Criterion) {
 }
 
 fn ooo_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate/ooo");
+    let mut g = c.benchmark_group("layer/ooo");
     g.throughput(Throughput::Elements(1024));
     g.bench_function("alu_uop_push", |b| {
         let mut cpu = Engine::new(CoreConfig::haswell(), Hierarchy::default());
@@ -63,7 +63,7 @@ fn ooo_engine(c: &mut Criterion) {
 }
 
 fn functional_allocator(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate/tcmalloc");
+    let mut g = c.benchmark_group("layer/tcmalloc");
     g.throughput(Throughput::Elements(256));
     g.bench_function("malloc_free_pair", |b| {
         let mut a = TcMalloc::default();
@@ -78,7 +78,7 @@ fn functional_allocator(c: &mut Criterion) {
 }
 
 fn malloc_cache_ops(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate/malloc_cache");
+    let mut g = c.benchmark_group("layer/malloc_cache");
     g.throughput(Throughput::Elements(256));
     g.bench_function("lookup_hit", |b| {
         let mut mc = MallocCache::new(MallocCacheConfig::paper_default());

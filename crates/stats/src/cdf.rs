@@ -3,7 +3,7 @@
 /// An empirical, weighted cumulative distribution over `f64` samples.
 ///
 /// Unlike [`crate::LogHistogram`], which bins, `Cdf` keeps every sample and
-/// answers exact quantile/fraction queries. The reproduction uses it for the
+/// answers exact quantile queries. The reproduction uses it for the
 /// size-class coverage curves of Figure 6 ("how many size classes cover 90 %
 /// of malloc calls").
 ///
@@ -72,22 +72,6 @@ impl Cdf {
         self.samples.is_empty()
     }
 
-    /// Fraction (0–1) of weight at values `<= x`.
-    pub fn fraction_at_or_below(&mut self, x: f64) -> f64 {
-        if self.total_weight == 0.0 {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let mut acc = 0.0;
-        for &(v, w) in &self.samples {
-            if v > x {
-                break;
-            }
-            acc += w;
-        }
-        acc / self.total_weight
-    }
-
     /// Smallest value `v` such that at least `q` (0–1) of the weight lies at
     /// or below `v`. Returns `None` if empty.
     ///
@@ -127,25 +111,6 @@ impl Cdf {
     pub fn p999(&mut self) -> Option<f64> {
         self.quantile(0.999)
     }
-
-    /// The full CDF as `(value, cumulative percent)` steps.
-    pub fn steps_percent(&mut self) -> Vec<(f64, f64)> {
-        if self.total_weight == 0.0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        let mut acc = 0.0;
-        for &(v, w) in &self.samples {
-            acc += w;
-            let pct = 100.0 * acc / self.total_weight;
-            match out.last_mut() {
-                Some(last) if last.0 == v => last.1 = pct,
-                _ => out.push((v, pct)),
-            }
-        }
-        out
-    }
 }
 
 impl FromIterator<(f64, f64)> for Cdf {
@@ -167,8 +132,6 @@ mod tests {
         let mut c = Cdf::new();
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), None);
-        assert_eq!(c.fraction_at_or_below(100.0), 0.0);
-        assert!(c.steps_percent().is_empty());
     }
 
     #[test]
@@ -189,30 +152,6 @@ mod tests {
         assert_eq!(c.quantile(0.9), Some(2.0));
         assert_eq!(c.quantile(0.91), Some(3.0));
         assert_eq!(c.quantile(1.0), Some(3.0));
-    }
-
-    #[test]
-    fn fraction_at_or_below_is_monotone() {
-        let mut c: Cdf = [(10.0, 1.0), (20.0, 1.0), (30.0, 2.0)]
-            .into_iter()
-            .collect();
-        let f10 = c.fraction_at_or_below(10.0);
-        let f20 = c.fraction_at_or_below(20.0);
-        let f25 = c.fraction_at_or_below(25.0);
-        let f30 = c.fraction_at_or_below(30.0);
-        assert!((f10 - 0.25).abs() < 1e-12);
-        assert!((f20 - 0.5).abs() < 1e-12);
-        assert_eq!(f20, f25);
-        assert!((f30 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn steps_merge_duplicate_values() {
-        let mut c: Cdf = [(1.0, 1.0), (1.0, 1.0), (2.0, 2.0)].into_iter().collect();
-        let steps = c.steps_percent();
-        assert_eq!(steps.len(), 2);
-        assert!((steps[0].1 - 50.0).abs() < 1e-12);
-        assert!((steps[1].1 - 100.0).abs() < 1e-12);
     }
 
     #[test]

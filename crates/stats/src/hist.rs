@@ -162,21 +162,6 @@ impl LogHistogram {
             .collect()
     }
 
-    /// Cumulative weight distribution, in percent: `(bin upper edge, % ≤ edge)`.
-    pub fn cdf_percent(&self) -> Vec<(f64, f64)> {
-        if self.total_weight == 0.0 {
-            return Vec::new();
-        }
-        let mut acc = 0.0;
-        self.bins()
-            .into_iter()
-            .map(|b| {
-                acc += b.weight;
-                (b.hi, 100.0 * acc / self.total_weight)
-            })
-            .collect()
-    }
-
     /// Fraction (0–1) of total weight contributed by samples `< threshold`.
     ///
     /// Bins straddling the threshold are apportioned by log-linear
@@ -220,110 +205,6 @@ impl LogHistogram {
         }
         None
     }
-
-    /// Weighted mean of the recorded samples (exact, not binned).
-    pub fn mean_value(&self) -> f64 {
-        if self.total_count == 0 {
-            0.0
-        } else {
-            // total_weight is Σ value_i when time-weighted; but for generality
-            // we track the exact mean via weight/count only when weights are
-            // the values themselves. Use bins as an approximation otherwise.
-            self.total_weight / self.total_count as f64
-        }
-    }
-}
-
-/// A fixed-width, linearly-binned weighted histogram.
-///
-/// Used for the size-class usage distributions (Figure 6), where the x axis
-/// is the small integer "number of size classes".
-///
-/// # Example
-///
-/// ```
-/// use mallacc_stats::LinearHistogram;
-///
-/// let mut h = LinearHistogram::new(1.0);
-/// h.record(3.0, 1.0);
-/// h.record(3.4, 2.0);
-/// assert_eq!(h.bins().len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LinearHistogram {
-    width: f64,
-    bins: Vec<(f64, u64)>,
-    total_weight: f64,
-}
-
-impl LinearHistogram {
-    /// Creates a histogram with bins of the given width starting at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not strictly positive and finite.
-    pub fn new(width: f64) -> Self {
-        assert!(
-            width > 0.0 && width.is_finite(),
-            "invalid bin width {width}"
-        );
-        Self {
-            width,
-            bins: Vec::new(),
-            total_weight: 0.0,
-        }
-    }
-
-    /// Records a non-negative sample with a weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or not finite.
-    pub fn record(&mut self, value: f64, weight: f64) {
-        assert!(value >= 0.0 && value.is_finite(), "invalid sample {value}");
-        let idx = (value / self.width).floor() as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, (0.0, 0));
-        }
-        self.bins[idx].0 += weight;
-        self.bins[idx].1 += 1;
-        self.total_weight += weight;
-    }
-
-    /// Sum of all recorded weights.
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
-    /// Non-empty bins in increasing order.
-    pub fn bins(&self) -> Vec<Bin> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, c))| *c > 0)
-            .map(|(i, &(weight, count))| Bin {
-                lo: i as f64 * self.width,
-                hi: (i + 1) as f64 * self.width,
-                weight,
-                count,
-            })
-            .collect()
-    }
-
-    /// Cumulative distribution in percent over bin upper edges.
-    pub fn cdf_percent(&self) -> Vec<(f64, f64)> {
-        if self.total_weight == 0.0 {
-            return Vec::new();
-        }
-        let mut acc = 0.0;
-        self.bins()
-            .into_iter()
-            .map(|b| {
-                acc += b.weight;
-                (b.hi, 100.0 * acc / self.total_weight)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -352,19 +233,6 @@ mod tests {
         }
         let total: f64 = h.pdf_percent().iter().map(|(_, p)| p).sum();
         assert!((total - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_100() {
-        let mut h = LogHistogram::new();
-        for v in 1..500u64 {
-            h.record_time_weighted(v);
-        }
-        let cdf = h.cdf_percent();
-        for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert!((cdf.last().unwrap().1 - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -416,19 +284,6 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(0, 1.0);
         assert_eq!(h.bins()[0].count, 1);
-    }
-
-    #[test]
-    fn linear_histogram_cdf() {
-        let mut h = LinearHistogram::new(1.0);
-        for (v, w) in [(0.5, 50.0), (1.5, 25.0), (4.2, 25.0)] {
-            h.record(v, w);
-        }
-        let cdf = h.cdf_percent();
-        assert_eq!(cdf.len(), 3);
-        assert!((cdf[0].1 - 50.0).abs() < 1e-12);
-        assert!((cdf[1].1 - 75.0).abs() < 1e-12);
-        assert!((cdf[2].1 - 100.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   used for the "time in calls vs. call duration" plots;
 //! * [`Cdf`] — an empirical weighted CDF over arbitrary `f64` samples;
 //! * [`Summary`] — mean / variance / standard deviation / min / max;
-//! * [`ttest`] — one-sided one-sample and two-sample Student's t-tests with
-//!   real p-values (via the regularised incomplete beta function);
+//! * [`ttest`] — the one-sided one-sample Student's t-test with real
+//!   p-values (via the regularised incomplete beta function);
 //! * [`table`] — plain-text table rendering used by the `repro` binary so the
 //!   harness prints the same rows the paper reports;
 //! * [`json`] — a dependency-free deterministic JSON value (writer and
@@ -53,7 +53,7 @@ pub mod ttest;
 
 pub use cdf::Cdf;
 pub use ci::{mean_ci95, t_quantile, MeanCi};
-pub use hist::{Bin, LinearHistogram, LogHistogram};
+pub use hist::{Bin, LogHistogram};
 pub use json::Json;
 pub use pareto::{dominates, knee_index, pareto_frontier};
 pub use special::{ln_gamma, regularized_incomplete_beta, student_t_cdf};

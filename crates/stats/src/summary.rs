@@ -20,7 +20,7 @@ use crate::json::Json;
 ///     s.record(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
@@ -124,23 +124,9 @@ impl Summary {
         }
     }
 
-    /// Population (n) variance. Returns 0 for an empty summary.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Unbiased sample standard deviation.
     pub fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Smallest recorded sample, or `None` if empty.
@@ -347,7 +333,6 @@ mod tests {
     fn variance_matches_definition() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let s = Summary::from_iter(data);
-        assert!((s.population_variance() - 4.0).abs() < 1e-12);
         assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
+enum Align {
     /// Left-aligned (labels).
     Left,
     /// Right-aligned (numbers).
@@ -49,21 +49,6 @@ impl Table {
             rows: Vec::new(),
             aligns,
         }
-    }
-
-    /// Overrides the alignment of each column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aligns.len()` differs from the number of columns.
-    pub fn with_aligns(mut self, aligns: &[Align]) -> Self {
-        assert_eq!(
-            aligns.len(),
-            self.headers.len(),
-            "alignment/column count mismatch"
-        );
-        self.aligns = aligns.to_vec();
-        self
     }
 
     /// Appends a row.
@@ -144,12 +129,6 @@ pub fn pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
 }
 
-/// Formats a fraction as a signed percentage with two decimals, e.g.
-/// `0.0043` → `+0.43%`.
-pub fn pct_signed(frac: f64) -> String {
-    format!("{:+.2}%", frac * 100.0)
-}
-
 /// Formats a cycle count with no decimals.
 pub fn cycles(c: f64) -> String {
     format!("{c:.0}")
@@ -200,8 +179,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.412), "41.2%");
-        assert_eq!(pct_signed(0.0043), "+0.43%");
-        assert_eq!(pct_signed(-0.01), "-1.00%");
         assert_eq!(cycles(18.4), "18");
     }
 

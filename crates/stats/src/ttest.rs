@@ -67,47 +67,6 @@ pub fn one_sample(samples: &[f64], mu0: f64) -> Option<TTest> {
     })
 }
 
-/// Welch's two-sample, one-sided t-test of `H1: mean(a) > mean(b)`.
-///
-/// Used to compare baseline vs. Mallacc run-time samples directly without
-/// pairing (the paper's simulation trials are independent runs with
-/// different random seeds).
-///
-/// Returns `None` if either side has fewer than two samples or both
-/// variances are zero.
-///
-/// # Example
-///
-/// ```
-/// use mallacc_stats::ttest::welch_two_sample;
-///
-/// let baseline = [100.0, 101.0, 99.5, 100.5];
-/// let accel = [99.0, 99.2, 98.8, 99.1];
-/// let t = welch_two_sample(&baseline, &accel).unwrap();
-/// assert!(t.significant_at(0.05)); // baseline is significantly slower
-/// ```
-pub fn welch_two_sample(a: &[f64], b: &[f64]) -> Option<TTest> {
-    if a.len() < 2 || b.len() < 2 {
-        return None;
-    }
-    let sa = Summary::from_iter(a.iter().copied());
-    let sb = Summary::from_iter(b.iter().copied());
-    let (va, vb) = (sa.sample_variance(), sb.sample_variance());
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let se2 = va / na + vb / nb;
-    if se2 == 0.0 {
-        return None;
-    }
-    let t = (sa.mean() - sb.mean()) / se2.sqrt();
-    // Welch–Satterthwaite degrees of freedom.
-    let df = se2 * se2 / ((va / na).powi(2) / (na - 1.0) + (vb / nb).powi(2) / (nb - 1.0));
-    Some(TTest {
-        t,
-        df,
-        p_greater: 1.0 - student_t_cdf(t, df),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,13 +74,11 @@ mod tests {
     #[test]
     fn too_few_samples() {
         assert_eq!(one_sample(&[1.0], 0.0), None);
-        assert_eq!(welch_two_sample(&[1.0], &[1.0, 2.0]), None);
     }
 
     #[test]
     fn zero_variance_is_undefined() {
         assert_eq!(one_sample(&[2.0, 2.0, 2.0], 0.0), None);
-        assert_eq!(welch_two_sample(&[1.0, 1.0], &[1.0, 1.0]), None);
     }
 
     #[test]
@@ -154,15 +111,5 @@ mod tests {
         assert_eq!(t.df, 3.0);
         // p for t≈2.449, df=3 is ≈ 0.0459 (just under 0.05).
         assert!((t.p_greater - 0.0459).abs() < 2e-3, "p={}", t.p_greater);
-    }
-
-    #[test]
-    fn welch_direction() {
-        let fast = [10.0, 10.1, 9.9, 10.05];
-        let slow = [11.0, 11.1, 10.9, 11.05];
-        let t = welch_two_sample(&slow, &fast).unwrap();
-        assert!(t.t > 0.0 && t.significant_at(0.01));
-        let t_rev = welch_two_sample(&fast, &slow).unwrap();
-        assert!(t_rev.t < 0.0 && !t_rev.significant_at(0.5));
     }
 }

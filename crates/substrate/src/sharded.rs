@@ -138,7 +138,7 @@ impl ShardedMt {
         assert!(core < self.cores.len(), "core {core} out of range");
         match op {
             MtOp::Malloc { size, token } => {
-                let (ptr, _) = self.cores[core].malloc(size);
+                let ptr = self.cores[core].malloc(size).ptr;
                 let prev = self.owner.insert(token, (core, ptr));
                 assert!(prev.is_none(), "token {token:#x} double-allocated");
                 self.totals.malloc_calls += 1;

@@ -1,20 +1,21 @@
 //! The functional substrate trait.
 //!
 //! Every allocator model in the repo — TCMalloc, jemalloc, rpmalloc,
-//! per-CPU — answers the same two questions: *where does this request
-//! land* and *which path served it*. [`Allocator`] is that common
-//! surface, reduced to what cross-substrate consumers (the differential
-//! suites, the conformance fuzzer, generic drivers) actually need. The
+//! per-CPU — answers the same question: *where does this request land*.
+//! [`Allocator`] is that common surface, reduced to what the
+//! cross-substrate conformance suites actually need. The
 //! substrate-specific outcome types stay on the concrete models; this
-//! trait flattens them into [`GenericAlloc`]/[`GenericFree`].
+//! trait flattens them into [`GenericAlloc`]/[`GenericFree`]. Which path
+//! served a call is the drivers' business: every model maps its outcomes
+//! onto a service path in its [`FastPath`](mallacc::FastPath) impl.
 
 use mallacc_cache::Addr;
-use mallacc_jemalloc::{JeFreePath, JeMalloc, JeMallocPath};
-use mallacc_tcmalloc::{FreePath, MallocPath, TcMalloc};
+use mallacc_jemalloc::JeMalloc;
+use mallacc_tcmalloc::TcMalloc;
 
 use crate::kind::SubstrateKind;
-use crate::percpu::{PcFreePath, PcMallocPath, PerCpuMalloc};
-use crate::rpmalloc::{RpFreePath, RpMalloc, RpMallocPath};
+use crate::percpu::PerCpuMalloc;
+use crate::rpmalloc::RpMalloc;
 
 /// Substrate-agnostic view of one allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,11 +26,6 @@ pub struct GenericAlloc {
     pub requested: u64,
     /// Rounded size actually reserved.
     pub alloc_size: u64,
-    /// The request was served by the substrate's fast path (its
-    /// per-thread/per-CPU/per-span cache), with no central or OS work.
-    pub fast: bool,
-    /// The request forced a fresh OS reservation.
-    pub grew: bool,
 }
 
 /// Substrate-agnostic view of one free.
@@ -39,15 +35,13 @@ pub struct GenericFree {
     pub ptr: Addr,
     /// Rounded size of the block.
     pub alloc_size: u64,
-    /// The free stayed on the substrate's fast path.
-    pub fast: bool,
 }
 
 /// The functional substrate contract.
 ///
 /// Implementations are deterministic: the same call sequence on a fresh
-/// instance produces the same addresses and paths. `dealloc` panics on
-/// invalid or double frees — the conformance suites rely on that.
+/// instance produces the same addresses. `dealloc` panics on invalid or
+/// double frees — the conformance suites rely on that.
 pub trait Allocator {
     /// Which substrate this is.
     fn kind(&self) -> SubstrateKind;
@@ -62,152 +56,43 @@ pub trait Allocator {
     fn live_blocks(&self) -> usize;
 }
 
-impl Allocator for TcMalloc {
-    fn kind(&self) -> SubstrateKind {
-        SubstrateKind::TcMalloc
-    }
-
-    fn alloc(&mut self, size: u64) -> GenericAlloc {
-        let o = self.malloc(size);
-        let (fast, grew) = match &o.path {
-            MallocPath::ThreadCacheHit { .. } => (true, false),
-            MallocPath::CentralRefill { populate, .. } => {
-                (false, populate.as_ref().is_some_and(|p| p.span.grew_heap))
+/// Implements [`Allocator`] for a model whose inherent `malloc`/`free`
+/// outcomes carry `ptr`, `requested` and `alloc_size`.
+macro_rules! impl_allocator {
+    ($model:ty, $kind:expr) => {
+        impl Allocator for $model {
+            fn kind(&self) -> SubstrateKind {
+                $kind
             }
-            MallocPath::Large { grew_heap, .. } => (false, *grew_heap),
-        };
-        GenericAlloc {
-            ptr: o.ptr,
-            requested: o.requested,
-            alloc_size: o.alloc_size,
-            fast,
-            grew,
-        }
-    }
 
-    fn dealloc(&mut self, ptr: Addr, sized: bool) -> GenericFree {
-        let o = self.free(ptr, sized);
-        let fast = matches!(&o.path, FreePath::ThreadCachePush { released: None, .. });
-        GenericFree {
-            ptr: o.ptr,
-            alloc_size: o.alloc_size,
-            fast,
-        }
-    }
+            fn alloc(&mut self, size: u64) -> GenericAlloc {
+                let o = self.malloc(size);
+                GenericAlloc {
+                    ptr: o.ptr,
+                    requested: o.requested,
+                    alloc_size: o.alloc_size,
+                }
+            }
 
-    fn live_blocks(&self) -> usize {
-        TcMalloc::live_blocks(self)
-    }
+            fn dealloc(&mut self, ptr: Addr, sized: bool) -> GenericFree {
+                let o = self.free(ptr, sized);
+                GenericFree {
+                    ptr: o.ptr,
+                    alloc_size: o.alloc_size,
+                }
+            }
+
+            fn live_blocks(&self) -> usize {
+                <$model>::live_blocks(self)
+            }
+        }
+    };
 }
 
-impl Allocator for JeMalloc {
-    fn kind(&self) -> SubstrateKind {
-        SubstrateKind::JeMalloc
-    }
-
-    fn alloc(&mut self, size: u64) -> GenericAlloc {
-        let o = self.malloc(size);
-        let (fast, grew) = match &o.path {
-            JeMallocPath::TcacheHit { .. } => (true, false),
-            JeMallocPath::TcacheFill { fill, .. } => (false, fill.grew),
-            JeMallocPath::Large { grew, .. } => (false, *grew),
-        };
-        GenericAlloc {
-            ptr: o.ptr,
-            requested: o.requested,
-            alloc_size: o.alloc_size,
-            fast,
-            grew,
-        }
-    }
-
-    fn dealloc(&mut self, ptr: Addr, sized: bool) -> GenericFree {
-        let o = self.free(ptr, sized);
-        let fast = matches!(&o.path, JeFreePath::TcachePush { flushed: None, .. });
-        GenericFree {
-            ptr: o.ptr,
-            alloc_size: o.alloc_size,
-            fast,
-        }
-    }
-
-    fn live_blocks(&self) -> usize {
-        JeMalloc::live_blocks(self)
-    }
-}
-
-impl Allocator for RpMalloc {
-    fn kind(&self) -> SubstrateKind {
-        SubstrateKind::Rpmalloc
-    }
-
-    fn alloc(&mut self, size: u64) -> GenericAlloc {
-        let o = self.malloc(size);
-        let (fast, grew) = match &o.path {
-            RpMallocPath::LocalHit { .. } | RpMallocPath::Carve { .. } => (true, false),
-            RpMallocPath::DeferredAdopt { .. } => (false, false),
-            RpMallocPath::NewSpan { grew, .. } => (false, *grew),
-            RpMallocPath::Large { grew, .. } => (false, *grew),
-        };
-        GenericAlloc {
-            ptr: o.ptr,
-            requested: o.requested,
-            alloc_size: o.alloc_size,
-            fast,
-            grew,
-        }
-    }
-
-    fn dealloc(&mut self, ptr: Addr, sized: bool) -> GenericFree {
-        let o = self.free(ptr, sized);
-        let fast = matches!(&o.path, RpFreePath::Local { .. });
-        GenericFree {
-            ptr: o.ptr,
-            alloc_size: o.alloc_size,
-            fast,
-        }
-    }
-
-    fn live_blocks(&self) -> usize {
-        RpMalloc::live_blocks(self)
-    }
-}
-
-impl Allocator for PerCpuMalloc {
-    fn kind(&self) -> SubstrateKind {
-        SubstrateKind::PerCpu
-    }
-
-    fn alloc(&mut self, size: u64) -> GenericAlloc {
-        let o = self.malloc(size);
-        let (fast, grew) = match &o.path {
-            PcMallocPath::SlabHit { .. } => (true, false),
-            PcMallocPath::SlabRefill { grew, .. } => (false, *grew),
-            PcMallocPath::Large { grew, .. } => (false, *grew),
-        };
-        GenericAlloc {
-            ptr: o.ptr,
-            requested: o.requested,
-            alloc_size: o.alloc_size,
-            fast,
-            grew,
-        }
-    }
-
-    fn dealloc(&mut self, ptr: Addr, sized: bool) -> GenericFree {
-        let o = self.free(ptr, sized);
-        let fast = matches!(&o.path, PcFreePath::SlabPush { .. });
-        GenericFree {
-            ptr: o.ptr,
-            alloc_size: o.alloc_size,
-            fast,
-        }
-    }
-
-    fn live_blocks(&self) -> usize {
-        PerCpuMalloc::live_blocks(self)
-    }
-}
+impl_allocator!(TcMalloc, SubstrateKind::TcMalloc);
+impl_allocator!(JeMalloc, SubstrateKind::JeMalloc);
+impl_allocator!(RpMalloc, SubstrateKind::Rpmalloc);
+impl_allocator!(PerCpuMalloc, SubstrateKind::PerCpu);
 
 /// A boxed functional model of any substrate.
 pub struct AnyAllocator(Box<dyn Allocator>);
@@ -259,13 +144,11 @@ mod tests {
             assert_eq!(a.kind(), kind);
             let cold = a.alloc(100);
             assert!(cold.alloc_size >= 100, "{kind:?} under-allocates");
-            assert!(!cold.fast, "{kind:?} cold alloc cannot be fast");
             let f = a.dealloc(cold.ptr, true);
             assert_eq!(f.ptr, cold.ptr);
             assert_eq!(f.alloc_size, cold.alloc_size);
             let warm = a.alloc(100);
             assert_eq!(warm.ptr, cold.ptr, "{kind:?} LIFO reuse");
-            assert!(warm.fast, "{kind:?} warm alloc must be fast");
             a.dealloc(warm.ptr, false);
             assert_eq!(a.live_blocks(), 0, "{kind:?} leaks");
         }

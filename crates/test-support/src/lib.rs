@@ -318,8 +318,6 @@ mod tests {
             ptr,
             requested,
             alloc_size,
-            fast: true,
-            grew: false,
         };
         let mut h = RefHeap::new();
         h.on_alloc(&a(0x1000, 30, 32)).unwrap();
@@ -330,11 +328,7 @@ mod tests {
         h.on_alloc(&a(0x1020, 16, 16)).unwrap();
         assert_eq!((h.live_blocks(), h.bytes_in_use()), (2, 48));
         assert_eq!(h.pick(3), Some(0x1020));
-        let f = |ptr: u64, alloc_size: u64| GenericFree {
-            ptr,
-            alloc_size,
-            fast: true,
-        };
+        let f = |ptr: u64, alloc_size: u64| GenericFree { ptr, alloc_size };
         assert!(h.on_free(&f(0x3000, 8)).is_err(), "unknown block");
         assert!(h.on_free(&f(0x1000, 16)).is_err(), "size amnesia");
         // The failed size-amnesia free still removed the block (it
