@@ -34,10 +34,10 @@ use std::path::PathBuf;
 
 use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
 use mallacc::{offload_area_um2, AreaEstimate, Mode, OffloadConfig, SimMode};
-use mallacc_multicore::MulticoreSim;
+use mallacc_explore::run_multicore;
 use mallacc_stats::table::Table;
 use mallacc_stats::{knee_index, pareto_frontier, Json};
-use mallacc_substrate::{AnySim, ShardedMt, SubstrateKind};
+use mallacc_substrate::{AnySim, SubstrateKind};
 use mallacc_workloads::{AnyWorkload, SimBackend};
 
 /// Parsed `repro offload` arguments.
@@ -429,25 +429,11 @@ fn fleet_section(args: &OffloadArgs) -> (String, Json) {
                 mallacc_fleet::Scenario::by_name(scenario_name).expect("validated at parse time");
             let mut per_call = [0.0; 4];
             for (slot, (mode, _)) in per_call.iter_mut().zip(modes()) {
-                let mut stream = scenario.stream(cores, args.requests, args.seed);
-                // TCMalloc streams through the shared-heap multi-core
-                // simulator; the other substrates run as per-core sharded
-                // heaps with cross-core frees routed to the owning shard.
-                *slot = if args.substrate == SubstrateKind::TcMalloc {
-                    let totals = MulticoreSim::new(mode, cores)
-                        .with_sim(args.sim)
-                        .run_stream(&mut stream)
-                        .aggregate();
-                    let calls = (totals.malloc_calls + totals.free_calls).max(1);
-                    (totals.malloc_cycles + totals.free_cycles) as f64 / calls as f64
-                } else {
-                    let mut sim = ShardedMt::new(args.substrate, mode, cores);
-                    sim.set_sampling(args.sim.plan());
-                    sim.run_stream(&mut stream);
-                    let totals = sim.totals();
-                    let calls = (totals.malloc_calls + totals.free_calls).max(1);
-                    totals.allocator_cycles() as f64 / calls as f64
-                };
+                let stream = scenario.stream(cores, args.requests, args.seed);
+                let totals =
+                    run_multicore(args.substrate, mode, cores, args.sim, stream).aggregate();
+                let calls = (totals.malloc_calls + totals.free_calls).max(1);
+                *slot = totals.allocator_cycles() as f64 / calls as f64;
             }
             (scenario_name.clone(), cores, per_call)
         },
@@ -712,7 +698,7 @@ mod tests {
 
     #[test]
     fn every_substrate_completes_the_full_report() {
-        // Every section — head-to-head, depth sweep, sharded fleet
+        // Every section — head-to-head, depth sweep, multi-core fleet
         // streams, Pareto — must run on every substrate, and the header
         // must say which one it was.
         for kind in SubstrateKind::ALL {

@@ -12,7 +12,7 @@ use crate::malloc_cache::MallocCacheConfig;
 /// allocator model, workload generators) so that memoised design-space
 /// results from older binaries are invalidated rather than silently
 /// reused. Purely additive or cosmetic changes keep the version.
-pub const CODE_MODEL_VERSION: u32 = 2;
+pub const CODE_MODEL_VERSION: u32 = 3;
 
 /// Which Mallacc optimisations are enabled (§4).
 ///

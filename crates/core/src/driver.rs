@@ -149,22 +149,31 @@ pub struct CallInfo {
     pub sampled: bool,
 }
 
-/// Post-call snapshot of the serving thread-cache free list, consumed by
-/// the TCMalloc fast path.
+/// Post-call snapshot of the serving free list: its head and the element
+/// after the head.
 ///
-/// The µop emitters need two values the functional allocator only exposes
-/// *after* a call: the list head (software republishes it; `mchdpush`-style
-/// syncs mirror it) and the element after the head (the value an
-/// `mcnxtprefetch` learns). In single-core mode the driver reads them off
-/// its own allocator; the multi-core layer captures them during its serial
-/// functional phase and replays timing later — see
-/// [`Driver::time_malloc`].
+/// Every [`FastPath::serve_malloc`]/[`FastPath::serve_free`] returns one,
+/// so no emitter reads the allocator: software republishes the head, the
+/// accelerator's resyncs and `mcnxtprefetch` learn the pair. The
+/// multi-core layer captures it during its serial functional phase and
+/// replays timing later — see [`Driver::time_malloc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PostList {
     /// Head of the class's free list after the call.
     pub head: Option<Addr>,
     /// Second element of the list after the call.
     pub next: Option<Addr>,
+}
+
+/// The shared allocator structure a slow path serialises on when several
+/// threads run on one heap — what the multi-core contention model prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SharedRes {
+    /// A lock-protected arena or central pool.
+    Central,
+    /// A lock-free hand-off: a CAS on a shared cache line, much cheaper
+    /// than a lock but still contended.
+    Transfer,
 }
 
 /// Aggregate cycle totals maintained by the driver.
@@ -212,46 +221,52 @@ impl SimTotals {
 /// µops through the [`EmitCtx`] they are handed, tag them with the
 /// [`Component`] they belong to, and may use its shared accelerator
 /// sequences ([`EmitCtx::size_class`], [`EmitCtx::emit_sampling`],
-/// [`EmitCtx::mchdpop`]).
-pub trait FastPath {
+/// [`EmitCtx::mchdpop`]). They never see the allocator: what they need of
+/// its post-call state arrives as the [`PostList`] its `serve_*` returned,
+/// which is what lets the multi-core layer serve every call on one shared
+/// heap and replay the timing on per-core engines.
+pub trait FastPath: Sized + Send {
     /// Functional outcome of one malloc.
-    type Malloc;
+    type Malloc: std::fmt::Debug + Send;
     /// Functional outcome of one free.
-    type Free;
-    /// Post-call allocator state the emitters read (`()` when they can
-    /// read it off the allocator itself).
-    type Post: Copy;
+    type Free: std::fmt::Debug + Send;
+    /// The functional model's statistics.
+    type Stats: std::fmt::Debug + Clone;
+
+    /// A cold heap shared by `threads` threads.
+    fn shared(threads: usize) -> Self;
 
     /// The cold heap a single-core driver starts from.
-    fn cold() -> Self;
+    fn cold() -> Self {
+        Self::shared(1)
+    }
 
     /// The malloc-cache keying this substrate forces, if any: substrates
     /// without Figure 5 index hardware key on the requested size.
     const KEYING: Option<RangeKeying> = None;
 
-    /// Performs one malloc functionally.
-    fn serve_malloc(&mut self, size: u64) -> (Self::Malloc, Self::Post);
-
-    /// Performs one free by the simulated thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    fn serve_free(&mut self, ptr: Addr, sized: bool) -> (Self::Free, Self::Post);
-
-    /// Performs one free issued by another thread. Substrates without a
-    /// cross-thread path absorb it like a local free.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    fn serve_foreign_free(&mut self, ptr: Addr, sized: bool) -> (Self::Free, Self::Post) {
-        self.serve_free(ptr, sized)
+    /// The thread a single-core driver's calls run on.
+    fn current_thread(&self) -> usize {
+        0
     }
+
+    /// Performs one malloc functionally on `thread`.
+    fn serve_malloc(&mut self, thread: usize, size: u64) -> (Self::Malloc, PostList);
+
+    /// Performs one free functionally on `thread`, which may differ from
+    /// the allocating thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid or double free.
+    fn serve_free(&mut self, thread: usize, ptr: Addr, sized: bool) -> (Self::Free, PostList);
 
     /// Functional side of a context switch (beyond the shell's malloc-cache
     /// flush and cache eviction).
     fn on_context_switch(&mut self) {}
+
+    /// The functional model's statistics so far.
+    fn stats(&self) -> Self::Stats;
 
     /// Service path and record fields of a malloc outcome.
     fn malloc_info(outcome: &Self::Malloc) -> CallInfo;
@@ -259,11 +274,23 @@ pub trait FastPath {
     /// Service path and record fields of a free outcome.
     fn free_info(outcome: &Self::Free) -> CallInfo;
 
+    /// The shared structure a malloc outcome's path serialised on, if any.
+    fn malloc_shared(outcome: &Self::Malloc) -> Option<SharedRes>;
+
+    /// The shared structure a free outcome's path serialised on, if any.
+    fn free_shared(outcome: &Self::Free) -> Option<SharedRes>;
+
+    /// The thread whose cached free list a malloc stole blocks from, if
+    /// any: that thread's malloc-cache copy of the list is stale.
+    fn stolen_from(_outcome: &Self::Malloc) -> Option<usize> {
+        None
+    }
+
     /// Emits the µop program of one malloc (baseline, Mallacc or limit).
-    fn emit_malloc(&self, sh: &mut EmitCtx, outcome: &Self::Malloc, post: Self::Post);
+    fn emit_malloc(sh: &mut EmitCtx, outcome: &Self::Malloc, post: PostList);
 
     /// Emits the µop program of one free (baseline, Mallacc or limit).
-    fn emit_free(&self, sh: &mut EmitCtx, outcome: &Self::Free, post: Self::Post);
+    fn emit_free(sh: &mut EmitCtx, outcome: &Self::Free, post: PostList);
 }
 
 /// A small local-history branch predictor (6 bits of history indexing
@@ -774,7 +801,8 @@ impl<F: FastPath> Driver<F> {
 
     /// Simulates one malloc call.
     pub fn malloc(&mut self, size: u64) -> CallRecord {
-        let (outcome, post) = self.alloc.serve_malloc(size);
+        let thread = self.alloc.current_thread();
+        let (outcome, post) = self.alloc.serve_malloc(thread, size);
         self.time_malloc(&outcome, post, 0)
     }
 
@@ -784,19 +812,8 @@ impl<F: FastPath> Driver<F> {
     ///
     /// Panics on an invalid or double free.
     pub fn free(&mut self, ptr: Addr, sized: bool) -> CallRecord {
-        let (outcome, post) = self.alloc.serve_free(ptr, sized);
-        self.time_free(&outcome, post, 0)
-    }
-
-    /// Simulates a free issued by a *different* thread than the one this
-    /// simulator models (rpmalloc routes it through the span's deferred
-    /// list).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    pub fn free_foreign(&mut self, ptr: Addr, sized: bool) -> CallRecord {
-        let (outcome, post) = self.alloc.serve_foreign_free(ptr, sized);
+        let thread = self.alloc.current_thread();
+        let (outcome, post) = self.alloc.serve_free(thread, ptr, sized);
         self.time_free(&outcome, post, 0)
     }
 
@@ -804,17 +821,16 @@ impl<F: FastPath> Driver<F> {
     /// µop program through the core without touching this sim's functional
     /// allocator. `post` is the post-call state as captured by whoever
     /// performed the call; `contention_cycles` stalls the call up front
-    /// (the multi-core central-list/transfer-cache lock model).
+    /// (the multi-core shared-structure contention model).
     pub fn time_malloc(
         &mut self,
         outcome: &F::Malloc,
-        post: F::Post,
+        post: PostList,
         contention_cycles: u64,
     ) -> CallRecord {
-        let alloc = &self.alloc;
         self.shell
             .time_call(F::malloc_info(outcome), contention_cycles, |sh| {
-                alloc.emit_malloc(sh, outcome, post)
+                F::emit_malloc(sh, outcome, post)
             })
     }
 
@@ -823,14 +839,22 @@ impl<F: FastPath> Driver<F> {
     pub fn time_free(
         &mut self,
         outcome: &F::Free,
-        post: F::Post,
+        post: PostList,
         contention_cycles: u64,
     ) -> CallRecord {
-        let alloc = &self.alloc;
         self.shell
             .time_call(F::free_info(outcome), contention_cycles, |sh| {
-                alloc.emit_free(sh, outcome, post)
+                F::emit_free(sh, outcome, post)
             })
+    }
+
+    /// Invalidates the malloc cache's cached list for the raw class `raw`
+    /// (the size mapping survives). The multi-core layer issues this on
+    /// the victim core when another thread mutates its free list out from
+    /// under the accelerator — the §4.1 copies-only design makes the drop
+    /// free of writebacks, so it costs no µops.
+    pub fn invalidate_mc_list(&mut self, raw: u16) {
+        self.shell.ctx.mc.invalidate_list(raw);
     }
 
     /// Models a context switch: the malloc cache is flushed wholesale

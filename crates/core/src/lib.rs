@@ -66,7 +66,8 @@ mod tc_fast;
 pub use area::{AreaBits, AreaEstimate, HASWELL_CORE_MM2};
 pub use config::{AccelConfig, LimitRemove, Mode, SimMode, CODE_MODEL_VERSION};
 pub use driver::{
-    CallInfo, CallKind, CallRecord, Driver, EmitCtx, FastPath, PostList, Shell, SimTotals,
+    CallInfo, CallKind, CallRecord, Driver, EmitCtx, FastPath, PostList, SharedRes, Shell,
+    SimTotals,
 };
 pub use malloc_cache::{
     EntryView, MallocCache, MallocCacheConfig, MallocCacheStats, PopResult, RangeKeying, SizeLookup,

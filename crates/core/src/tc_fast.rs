@@ -12,11 +12,12 @@ use mallacc_cache::Addr;
 use mallacc_offload::ServicePath;
 use mallacc_ooo::{Component, CoreConfig, Reg, Uop};
 use mallacc_tcmalloc::{
-    layout, ClassId, FreeOutcome, FreePath, MallocOutcome, MallocPath, TcMalloc, TcMallocConfig,
+    layout, AllocStats, ClassId, FreeOutcome, FreePath, MallocOutcome, MallocPath, TcMalloc,
+    TcMallocConfig,
 };
 
 use crate::config::Mode;
-use crate::driver::{CallInfo, Driver, EmitCtx, FastPath, PostList};
+use crate::driver::{CallInfo, Driver, EmitCtx, FastPath, PostList, SharedRes};
 use crate::malloc_cache::PopResult;
 use crate::programs as prog;
 
@@ -38,27 +39,18 @@ impl Driver<TcMalloc> {
     pub fn with_configs(mode: Mode, alloc_cfg: TcMallocConfig, core_cfg: CoreConfig) -> Self {
         Self::with_allocator(mode, TcMalloc::new(alloc_cfg), core_cfg)
     }
-
-    /// Invalidates the malloc cache's cached list for `cls` (the size
-    /// mapping survives). The multi-core layer issues this on the victim
-    /// core when a neighbour-cache steal mutates its free list out from
-    /// under the accelerator — the §4.1 copies-only design makes the drop
-    /// free of writebacks, so it costs no µops.
-    pub fn invalidate_mc_list(&mut self, cls: ClassId) {
-        self.shell.ctx.mc.invalidate_list(raw_class(cls));
-    }
 }
 
 fn raw_class(cls: ClassId) -> u16 {
     u16::from(cls.as_u8())
 }
 
-/// Post-call list state of `cls` on `alloc`.
-fn post_list(alloc: &TcMalloc, cls: Option<ClassId>) -> PostList {
+/// Post-call list state of `cls` on thread `tid` of `alloc`.
+fn post_list(alloc: &TcMalloc, tid: usize, cls: Option<ClassId>) -> PostList {
     match cls {
         Some(c) => PostList {
-            head: alloc.list_head(c),
-            next: alloc.list_next_after_head(c),
+            head: alloc.list_head_on(tid, c),
+            next: alloc.list_next_after_head_on(tid, c),
         },
         None => PostList::default(),
     }
@@ -214,25 +206,64 @@ fn emit_free_class(sh: &mut EmitCtx, outcome: &FreeOutcome, raw: u16, ptr_reg: R
     }
 }
 
+/// TCMalloc's shared structures: a central-list lock and lock-free
+/// transfer-cache slots. Steals from a neighbour's thread cache invalidate
+/// the victim's cached list.
 impl FastPath for TcMalloc {
     type Malloc = MallocOutcome;
     type Free = FreeOutcome;
-    type Post = PostList;
+    type Stats = AllocStats;
 
-    fn cold() -> Self {
-        TcMalloc::new(TcMallocConfig::default())
+    fn shared(threads: usize) -> Self {
+        TcMalloc::with_threads(TcMallocConfig::default(), threads)
     }
 
-    fn serve_malloc(&mut self, size: u64) -> (MallocOutcome, PostList) {
-        let outcome = self.malloc(size);
-        let post = post_list(self, outcome.cls);
+    fn serve_malloc(&mut self, thread: usize, size: u64) -> (MallocOutcome, PostList) {
+        let outcome = self.malloc_on(thread, size);
+        let post = post_list(self, thread, outcome.cls);
         (outcome, post)
     }
 
-    fn serve_free(&mut self, ptr: Addr, sized: bool) -> (FreeOutcome, PostList) {
-        let outcome = self.free(ptr, sized);
-        let post = post_list(self, outcome.cls);
+    fn serve_free(&mut self, thread: usize, ptr: Addr, sized: bool) -> (FreeOutcome, PostList) {
+        let outcome = self.free_on(thread, ptr, sized);
+        let post = post_list(self, thread, outcome.cls);
         (outcome, post)
+    }
+
+    fn stats(&self) -> AllocStats {
+        TcMalloc::stats(self)
+    }
+
+    fn malloc_shared(outcome: &MallocOutcome) -> Option<SharedRes> {
+        match &outcome.path {
+            MallocPath::CentralRefill {
+                via_transfer: true, ..
+            } => Some(SharedRes::Transfer),
+            MallocPath::CentralRefill { .. } => Some(SharedRes::Central),
+            _ => None,
+        }
+    }
+
+    fn free_shared(outcome: &FreeOutcome) -> Option<SharedRes> {
+        match &outcome.path {
+            FreePath::ThreadCachePush {
+                released: Some(_),
+                released_to_transfer,
+                ..
+            } => Some(if *released_to_transfer {
+                SharedRes::Transfer
+            } else {
+                SharedRes::Central
+            }),
+            _ => None,
+        }
+    }
+
+    fn stolen_from(outcome: &MallocOutcome) -> Option<usize> {
+        match outcome.path {
+            MallocPath::CentralRefill { stole_from, .. } => stole_from,
+            _ => None,
+        }
     }
 
     fn malloc_info(outcome: &MallocOutcome) -> CallInfo {
@@ -291,7 +322,7 @@ impl FastPath for TcMalloc {
         }
     }
 
-    fn emit_malloc(&self, sh: &mut EmitCtx, outcome: &MallocOutcome, post: PostList) {
+    fn emit_malloc(sh: &mut EmitCtx, outcome: &MallocOutcome, post: PostList) {
         let size_reg = sh.prologue(prog::PROLOGUE_UOPS);
 
         match &outcome.path {
@@ -341,7 +372,7 @@ impl FastPath for TcMalloc {
         sh.overhead(prog::EPILOGUE_UOPS);
     }
 
-    fn emit_free(&self, sh: &mut EmitCtx, outcome: &FreeOutcome, post: PostList) {
+    fn emit_free(sh: &mut EmitCtx, outcome: &FreeOutcome, post: PostList) {
         let ptr_reg = sh.prologue(prog::PROLOGUE_UOPS - 1);
 
         match &outcome.path {

@@ -233,9 +233,8 @@ impl ParamGrid {
     /// Combinations the simulator stack cannot express are skipped:
     /// multi-core microbenchmark points (microbenchmarks have no
     /// multi-threaded trace generator). Every substrate runs every
-    /// accelerator kind, fleet scenario, and macro multi-core point —
-    /// TCMalloc on the shared-heap multi-core simulator, the other
-    /// substrates as per-core sharded heaps. The queue-depth axis is
+    /// accelerator kind, fleet scenario, and macro multi-core point, all
+    /// on the shared-heap multi-core simulator. The queue-depth axis is
     /// collapsed to the default for kinds that have no queue, so a
     /// `qdepth` sweep does not duplicate `none`/`mallacc` points.
     pub fn expand(&self) -> Vec<ConfigPoint> {
@@ -426,8 +425,7 @@ mod tests {
             ParamGrid::parse("workload=fleet:rpc-fanout;substrate=tcmalloc,jemalloc;cores=1,4,16")
                 .unwrap();
         let pts = g.expand();
-        // Both substrates survive at every core count (jemalloc fleet
-        // points run as per-core sharded heaps).
+        // Both substrates survive at every core count.
         assert_eq!(pts.len(), 6);
         for &substrate in &[Substrate::TcMalloc, Substrate::JeMalloc] {
             assert_eq!(

@@ -52,5 +52,5 @@ mod report;
 pub use engine::{effective_jobs, run_sweep, SweepOptions};
 pub use grid::ParamGrid;
 pub use memo::MemoStore;
-pub use point::{fnv1a64, AccelKind, ConfigPoint, PointResult, RunScale, Substrate};
+pub use point::{fnv1a64, run_multicore, AccelKind, ConfigPoint, PointResult, RunScale, Substrate};
 pub use report::{AxisSensitivity, SweepReport};

@@ -2,13 +2,15 @@
 //! memoisation key, and its execution on the right simulator stack.
 
 use mallacc::{
-    offload_area_um2, AccelConfig, AreaEstimate, Mode, OffloadConfig, RangeKeying, SimMode,
-    CODE_MODEL_VERSION,
+    offload_area_um2, AccelConfig, AreaEstimate, FastPath, Mode, OffloadConfig, RangeKeying,
+    SimMode, CODE_MODEL_VERSION,
 };
-use mallacc_multicore::MulticoreSim;
+use mallacc_jemalloc::JeMalloc;
+use mallacc_multicore::{MtRunResult, MulticoreSim};
 use mallacc_stats::Json;
-use mallacc_substrate::{AnySim, ShardedMt};
-use mallacc_workloads::{AnyWorkload, MtTrace};
+use mallacc_substrate::{AnySim, PerCpuMalloc, RpMalloc};
+use mallacc_tcmalloc::TcMalloc;
+use mallacc_workloads::{AnyWorkload, MtOp, MtTrace};
 
 /// Which allocator model the point runs on.
 ///
@@ -228,11 +230,8 @@ impl ConfigPoint {
     /// (multi-core microbenchmarks — they have no multi-threaded trace
     /// generator). The engine validates grids before running.
     ///
-    /// TCMalloc multi-core points (including fleet scenarios) run on the
-    /// shared-heap [`MulticoreSim`]; every other substrate runs its cores
-    /// as independent [`ShardedMt`] heaps with cross-core frees routed to
-    /// the owning core (each substrate's own remote-free path prices
-    /// them).
+    /// Multi-core points (including fleet scenarios) run on the
+    /// shared-heap [`MulticoreSim`] of the point's substrate.
     pub fn run(&self) -> PointResult {
         let accel = self.accel_mode();
         if let Some(name) = self.workload.strip_prefix("fleet:") {
@@ -272,25 +271,11 @@ impl ConfigPoint {
     }
 
     /// Runs one multi-core `(core, op)` stream under `mode` and returns
-    /// total allocator cycles. TCMalloc goes through the shared-heap
-    /// multi-core simulator; the other substrates shard per core.
-    fn run_mt_stream(
-        &self,
-        mode: Mode,
-        stream: impl IntoIterator<Item = (usize, mallacc_workloads::MtOp)>,
-    ) -> f64 {
-        if self.substrate == Substrate::TcMalloc {
-            let totals = MulticoreSim::new(mode, self.cores)
-                .with_sim(self.sim)
-                .run_stream(stream)
-                .aggregate();
-            (totals.malloc_cycles + totals.free_cycles) as f64
-        } else {
-            let mut sim = ShardedMt::new(self.substrate, mode, self.cores);
-            sim.set_sampling(self.sim.plan());
-            sim.run_stream(stream);
-            sim.totals().allocator_cycles() as f64
-        }
+    /// total allocator cycles.
+    fn run_mt_stream(&self, mode: Mode, stream: impl IntoIterator<Item = (usize, MtOp)>) -> f64 {
+        run_multicore(self.substrate, mode, self.cores, self.sim, stream)
+            .aggregate()
+            .allocator_cycles() as f64
     }
 
     /// Packs raw cycle totals into a [`PointResult`].
@@ -340,6 +325,40 @@ impl PointResult {
             improvement_pct: json.get("improvement_pct")?.as_f64()?,
             area_um2: json.get("area_um2")?.as_f64()?,
         })
+    }
+}
+
+/// Runs one multi-core `(core, op)` stream on `substrate`'s shared-heap
+/// [`MulticoreSim`] under `mode` — the one place a substrate choice
+/// becomes a multi-core run.
+///
+/// # Panics
+///
+/// Panics if `cores` is zero or the stream is malformed (see
+/// [`MulticoreSim::run_stream`]).
+pub fn run_multicore(
+    substrate: Substrate,
+    mode: Mode,
+    cores: usize,
+    sim: SimMode,
+    ops: impl IntoIterator<Item = (usize, MtOp)>,
+) -> MtRunResult<()> {
+    fn run<F: FastPath>(
+        mode: Mode,
+        cores: usize,
+        sim: SimMode,
+        ops: impl IntoIterator<Item = (usize, MtOp)>,
+    ) -> MtRunResult<()> {
+        MulticoreSim::<F>::for_substrate(mode, cores)
+            .with_sim(sim)
+            .run_stream(ops)
+            .without_alloc()
+    }
+    match substrate {
+        Substrate::TcMalloc => run::<TcMalloc>(mode, cores, sim, ops),
+        Substrate::JeMalloc => run::<JeMalloc>(mode, cores, sim, ops),
+        Substrate::Rpmalloc => run::<RpMalloc>(mode, cores, sim, ops),
+        Substrate::PerCpu => run::<PerCpuMalloc>(mode, cores, sim, ops),
     }
 }
 

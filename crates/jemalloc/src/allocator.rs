@@ -114,7 +114,10 @@ struct Live {
     bin: Option<BinId>,
 }
 
-/// The jemalloc model (single thread, single arena).
+/// The jemalloc model: one arena shared by every thread, one tcache per
+/// thread. [`JeMalloc::new`] is a single-thread heap; the multi-core layer
+/// builds one with [`JeMalloc::with_threads`] and issues calls through the
+/// `_on` variants.
 ///
 /// # Example
 ///
@@ -133,23 +136,34 @@ struct Live {
 pub struct JeMalloc {
     classes: SizeClasses,
     arena: Arena,
-    bins: Vec<TcacheBin>,
+    /// Tcache bins, per thread.
+    bins: Vec<Vec<TcacheBin>>,
     live: HashMap<Addr, Live>,
     stats: JeStats,
 }
 
 impl JeMalloc {
-    /// Creates a cold allocator.
+    /// Creates a cold single-thread allocator.
     pub fn new() -> Self {
+        Self::with_threads(1)
+    }
+
+    /// Creates a cold allocator whose `threads` tcaches share one arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
+    pub fn with_threads(threads: usize) -> Self {
+        assert!(threads > 0, "need at least one thread");
         let classes = SizeClasses::classic();
-        let bins = classes
+        let tcache: Vec<TcacheBin> = classes
             .iter()
             .map(|(b, info)| TcacheBin::new(b, info))
             .collect();
         Self {
+            bins: vec![tcache; threads],
             arena: Arena::new(classes.clone()),
             classes,
-            bins,
             live: HashMap::new(),
             stats: JeStats::default(),
         }
@@ -175,18 +189,24 @@ impl JeMalloc {
         self.live.len()
     }
 
-    /// Current top of a bin's avail stack.
-    pub fn tcache_top(&self, bin: BinId) -> Option<Addr> {
-        self.bins[bin.as_u8() as usize].top()
+    /// Top two entries of `thread`'s avail stack for `bin` (the
+    /// accelerator's `Head` and `Next`).
+    pub(crate) fn tcache_top2(&self, thread: usize, bin: BinId) -> (Option<Addr>, Option<Addr>) {
+        let tbin = &self.bins[thread][bin.as_u8() as usize];
+        (tbin.top(), tbin.below_top())
     }
 
-    /// Element below the top (the accelerator's `Next`).
-    pub fn tcache_below_top(&self, bin: BinId) -> Option<Addr> {
-        self.bins[bin.as_u8() as usize].below_top()
-    }
-
-    /// Allocates `requested` bytes.
+    /// Allocates `requested` bytes on thread 0.
     pub fn malloc(&mut self, requested: u64) -> JeMallocOutcome {
+        self.malloc_on(0, requested)
+    }
+
+    /// Allocates `requested` bytes from `thread`'s tcache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` is out of range.
+    pub fn malloc_on(&mut self, thread: usize, requested: u64) -> JeMallocOutcome {
         self.stats.mallocs += 1;
         let Some(bin) = self.classes.bin_of(requested) else {
             let (ptr, pages, grew) = self.arena.alloc_large(requested);
@@ -207,7 +227,7 @@ impl JeMalloc {
             };
         };
         let info = self.classes.bin_info(bin);
-        let tbin = &mut self.bins[bin.as_u8() as usize];
+        let tbin = &mut self.bins[thread][bin.as_u8() as usize];
         let (ptr, path) = if let Some(ptr) = tbin.pop() {
             self.stats.tcache_hits += 1;
             (
@@ -220,7 +240,7 @@ impl JeMalloc {
         } else {
             self.stats.tcache_fills += 1;
             let fill = self.arena.fill(bin, info.fill_count as usize);
-            let tbin = &mut self.bins[bin.as_u8() as usize];
+            let tbin = &mut self.bins[thread][bin.as_u8() as usize];
             tbin.refill(&fill.batch);
             let ptr = tbin.pop().expect("fill produced objects");
             let below = tbin.top();
@@ -242,12 +262,23 @@ impl JeMalloc {
         }
     }
 
-    /// Frees `ptr`; `sized` selects sized deallocation.
+    /// Frees `ptr` on thread 0; `sized` selects sized deallocation.
     ///
     /// # Panics
     ///
     /// Panics on an invalid or double free.
     pub fn free(&mut self, ptr: Addr, sized: bool) -> JeFreeOutcome {
+        self.free_on(0, ptr, sized)
+    }
+
+    /// Frees `ptr` into `thread`'s tcache, whichever thread allocated it
+    /// (this is how memory migrates between threads).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid or double free, or if `thread` is out of
+    /// range.
+    pub fn free_on(&mut self, thread: usize, ptr: Addr, sized: bool) -> JeFreeOutcome {
         self.stats.frees += 1;
         let live = self
             .live
@@ -267,19 +298,19 @@ impl JeMalloc {
             };
         };
         let info = self.classes.bin_info(bin);
-        let tbin = &mut self.bins[bin.as_u8() as usize];
+        let tbin = &mut self.bins[thread][bin.as_u8() as usize];
         let flushed = if !tbin.push(ptr) {
             // Full: flush the oldest half, then retry.
             let old = tbin.take_oldest(info.fill_count as usize);
             self.arena.flush(&old);
             self.stats.tcache_flushes += 1;
-            let tbin = &mut self.bins[bin.as_u8() as usize];
+            let tbin = &mut self.bins[thread][bin.as_u8() as usize];
             assert!(tbin.push(ptr), "bin has room after a flush");
             Some(old)
         } else {
             None
         };
-        let ncached = self.bins[bin.as_u8() as usize].len() as u64;
+        let ncached = self.bins[thread][bin.as_u8() as usize].len() as u64;
         JeFreeOutcome {
             ptr,
             bin: Some(bin),

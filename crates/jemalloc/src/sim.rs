@@ -19,12 +19,14 @@
 //!   streaming array refills on fills.
 
 use mallacc::programs::emit_overhead;
-use mallacc::{CallInfo, Driver, EmitCtx, FastPath, PopResult, RangeKeying};
+use mallacc::{CallInfo, Driver, EmitCtx, FastPath, PopResult, PostList, RangeKeying, SharedRes};
 use mallacc_cache::Addr;
 use mallacc_offload::ServicePath;
 use mallacc_ooo::{Component, Engine, Reg, Uop};
 
-use crate::allocator::{JeFreeOutcome, JeFreePath, JeMalloc, JeMallocOutcome, JeMallocPath};
+use crate::allocator::{
+    JeFreeOutcome, JeFreePath, JeMalloc, JeMallocOutcome, JeMallocPath, JeStats,
+};
 use crate::arena::ArenaFill;
 use crate::layout;
 use crate::size_class::BinId;
@@ -159,25 +161,56 @@ fn emit_large(cpu: &mut Engine, pages: u64, grew: bool) {
     }
 }
 
+/// The serving tcache bin's top two entries after a call on `thread`.
+fn post_list(alloc: &JeMalloc, thread: usize, bin: Option<BinId>) -> PostList {
+    let (head, next) = bin.map_or((None, None), |b| alloc.tcache_top2(thread, b));
+    PostList { head, next }
+}
+
+/// jemalloc's shared structure is its arena: tcache fills and flushes take
+/// the arena bin's lock.
 impl FastPath for JeMalloc {
     type Malloc = JeMallocOutcome;
     type Free = JeFreeOutcome;
-    type Post = ();
+    type Stats = JeStats;
 
-    fn cold() -> Self {
-        JeMalloc::new()
+    fn shared(threads: usize) -> Self {
+        JeMalloc::with_threads(threads)
     }
 
     /// Requested-size keying regardless of the configured keying —
     /// jemalloc has no Figure 5 index hardware.
     const KEYING: Option<RangeKeying> = Some(RangeKeying::RequestedSize);
 
-    fn serve_malloc(&mut self, size: u64) -> (JeMallocOutcome, ()) {
-        (self.malloc(size), ())
+    fn serve_malloc(&mut self, thread: usize, size: u64) -> (JeMallocOutcome, PostList) {
+        let outcome = self.malloc_on(thread, size);
+        let post = post_list(self, thread, outcome.bin);
+        (outcome, post)
     }
 
-    fn serve_free(&mut self, ptr: Addr, sized: bool) -> (JeFreeOutcome, ()) {
-        (self.free(ptr, sized), ())
+    fn serve_free(&mut self, thread: usize, ptr: Addr, sized: bool) -> (JeFreeOutcome, PostList) {
+        let outcome = self.free_on(thread, ptr, sized);
+        let post = post_list(self, thread, outcome.bin);
+        (outcome, post)
+    }
+
+    fn stats(&self) -> JeStats {
+        JeMalloc::stats(self)
+    }
+
+    fn malloc_shared(outcome: &JeMallocOutcome) -> Option<SharedRes> {
+        matches!(outcome.path, JeMallocPath::TcacheFill { .. }).then_some(SharedRes::Central)
+    }
+
+    fn free_shared(outcome: &JeFreeOutcome) -> Option<SharedRes> {
+        matches!(
+            outcome.path,
+            JeFreePath::TcachePush {
+                flushed: Some(_),
+                ..
+            }
+        )
+        .then_some(SharedRes::Central)
     }
 
     fn malloc_info(outcome: &JeMallocOutcome) -> CallInfo {
@@ -236,7 +269,7 @@ impl FastPath for JeMalloc {
         }
     }
 
-    fn emit_malloc(&self, sh: &mut EmitCtx, outcome: &JeMallocOutcome, _: ()) {
+    fn emit_malloc(sh: &mut EmitCtx, outcome: &JeMallocOutcome, post: PostList) {
         let size_reg = sh.prologue(5);
         let JeMallocOutcome {
             requested,
@@ -292,8 +325,7 @@ impl FastPath for JeMalloc {
                             let slot = layout::tcache_avail_slot(bin, ncached.saturating_sub(2));
                             let below_reg = sh.cpu.alloc_reg();
                             sh.cpu.push(Uop::load(slot, below_reg, &[head_reg]));
-                            let value = self.tcache_below_top(bin);
-                            sh.mchdpush_pair(raw, Some(new_top), value, below_reg);
+                            sh.mchdpush_pair(raw, Some(new_top), post.next, below_reg);
                         }
                     }
                 } else {
@@ -313,13 +345,13 @@ impl FastPath for JeMalloc {
                 sh.cpu.push(Uop::branch(true, &[n]));
                 emit_fill(&mut sh.cpu, bin, fill);
                 emit_pop_sw(&mut sh.cpu, bin, fill.batch.len() as u64, bin_reg);
-                sh.resync(raw, self.tcache_top(bin), self.tcache_below_top(bin));
+                sh.resync(raw, post.head, post.next);
             }
         }
         sh.overhead(6);
     }
 
-    fn emit_free(&self, sh: &mut EmitCtx, outcome: &JeFreeOutcome, _: ()) {
+    fn emit_free(sh: &mut EmitCtx, outcome: &JeFreeOutcome, post: PostList) {
         let ptr_reg = sh.prologue(4);
         match &outcome.path {
             JeFreePath::Large { pages } => {
@@ -353,7 +385,7 @@ impl FastPath for JeMalloc {
                 if let Some(fl) = flushed {
                     sh.cpu.set_component(Component::SlowPath);
                     emit_flush(&mut sh.cpu, fl);
-                    sh.resync(raw, self.tcache_top(bin), self.tcache_below_top(bin));
+                    sh.resync(raw, post.head, post.next);
                 }
             }
         }

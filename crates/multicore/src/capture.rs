@@ -1,11 +1,12 @@
 //! Phase A: the serial functional pass.
 //!
-//! The globally interleaved [`MtTrace`] is executed, in trace order, on one
-//! shared [`TcMalloc`] with a thread cache per core. Every allocator call is
-//! captured as a per-core [`CoreEvent`] holding everything the timing layer
-//! needs to replay it later without touching the allocator again:
+//! The globally interleaved `(core, op)` stream is executed, in trace
+//! order, on one shared multi-thread heap of the substrate under test, one
+//! thread per core. Every allocator call is captured as a per-core [`CoreEvent`]
+//! holding everything the timing layer needs to replay it later without
+//! touching the allocator again:
 //!
-//! * the functional [`MallocOutcome`]/[`FreeOutcome`];
+//! * the functional outcome ([`FastPath::Malloc`]/[`FastPath::Free`]);
 //! * the serving list's post-call `(head, next)` ([`PostList`]) — the
 //!   values software republishes and the malloc-cache sync/prefetch paths
 //!   consume;
@@ -16,24 +17,25 @@
 //! lock/coherence wait times, which real multi-threaded allocators resolve
 //! non-deterministically anyway — the contention model replaces them with a
 //! reproducible estimate, which is what keeps the whole simulation
-//! bit-stable across host thread schedules.
+//! bit-stable across host thread schedules. Capture prices contention the
+//! same way for every substrate: a free is remote when the freeing core is
+//! not the allocating core, and each slow path names the shared structure
+//! it serialises on ([`FastPath::malloc_shared`]/[`FastPath::free_shared`]).
 
 use std::collections::{HashMap, VecDeque};
 
-use mallacc::PostList;
+use mallacc::{FastPath, PostList, SharedRes};
 use mallacc_cache::Addr;
-use mallacc_tcmalloc::{
-    AllocStats, ClassId, FreeOutcome, FreePath, MallocOutcome, MallocPath, TcMalloc, TcMallocConfig,
-};
-use mallacc_workloads::{MtOp, MtTrace};
+use mallacc_tcmalloc::{TcMalloc, TcMallocConfig};
+use mallacc_workloads::MtOp;
 
 /// One event of a core's private replay stream.
-#[derive(Debug, Clone)]
-pub enum CoreEvent {
+#[derive(Debug)]
+pub enum CoreEvent<F: FastPath = TcMalloc> {
     /// Replay the timing of a captured malloc.
     Malloc {
         /// The functional result of the call.
-        outcome: MallocOutcome,
+        outcome: F::Malloc,
         /// Serving list state right after the call.
         post: PostList,
         /// Up-front stall from contention on shared allocator structures.
@@ -42,7 +44,7 @@ pub enum CoreEvent {
     /// Replay the timing of a captured free.
     Free {
         /// The functional result of the call.
-        outcome: FreeOutcome,
+        outcome: F::Free,
         /// Serving list state right after the call.
         post: PostList,
         /// Up-front stall (lock contention and/or the remote-free line pull).
@@ -60,31 +62,21 @@ pub enum CoreEvent {
         /// Working-set size in lines.
         working_set_lines: u32,
     },
-    /// A neighbour-cache steal popped blocks off this core's free list for
-    /// `cls` from another core. The victim's malloc-cache copy of the list
-    /// head is stale and must be dropped before the next accelerated pop.
+    /// Another core's call popped blocks off this core's cached free list
+    /// for raw class `cls` (a TCMalloc neighbour-cache steal). The core's
+    /// malloc-cache copy of the list head is stale and must be dropped
+    /// before the next accelerated pop.
     McInvalidate {
-        /// The class whose cached list must be dropped.
-        cls: ClassId,
+        /// The raw class whose cached list must be dropped.
+        cls: u16,
     },
-}
-
-/// Which shared allocator structure an operation serialises on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SharedRes {
-    /// The central free list's lock (refill from spans, or a spilled
-    /// release).
-    Central,
-    /// A transfer-cache slot (lock-free CAS in real TCMalloc — much
-    /// cheaper, but still a shared cache line).
-    Transfer,
 }
 
 /// Cycles a central-lock operation stalls per recent contender (§3.1's
 /// "central free lists, one per size class, protected by locks").
 const CENTRAL_LOCK_CYCLES: u64 = 40;
-/// Cycles a transfer-cache operation stalls per recent contender (a CAS on
-/// a shared line, not a lock hand-off).
+/// Cycles a lock-free hand-off stalls per recent contender (a CAS on a
+/// shared line, not a lock hand-off).
 const TRANSFER_SLOT_CYCLES: u64 = 12;
 /// Flat cost of a remote free: the freed block's cache line (its embedded
 /// `next` pointer is written) must be pulled from the allocating core.
@@ -132,41 +124,25 @@ impl ContentionModel {
 
 /// Everything phase A hands to phase B.
 #[derive(Debug)]
-pub struct Capture {
+pub struct Capture<F: FastPath = TcMalloc> {
     /// Per-core event streams, in each core's program order.
-    pub streams: Vec<Vec<CoreEvent>>,
+    pub streams: Vec<Vec<CoreEvent<F>>>,
     /// The shared allocator's statistics over the whole trace.
-    pub alloc_stats: AllocStats,
+    pub alloc_stats: F::Stats,
+    /// Frees issued by a core other than the allocating one.
+    pub remote_frees: u64,
     /// Steal-induced malloc-cache invalidations inserted into victim
     /// streams.
     pub steal_invalidates: u64,
 }
 
-fn post_list(alloc: &TcMalloc, core: usize, cls: Option<ClassId>) -> PostList {
-    match cls {
-        Some(c) => PostList {
-            head: alloc.list_head_on(core, c),
-            next: alloc.list_next_after_head_on(core, c),
-        },
-        None => PostList::default(),
-    }
-}
-
-/// Runs the trace on a shared `cores`-thread allocator and captures the
-/// per-core replay streams.
-///
-/// # Panics
-///
-/// Panics if the trace frees a token it never allocated (malformed trace).
-pub fn capture(trace: &MtTrace, config: TcMallocConfig) -> Capture {
-    capture_stream(trace.cores(), trace.ops().iter().copied(), config)
-}
-
-/// Streaming variant of [`capture`]: consumes `(core, op)` pairs from any
-/// iterator — a generator, a [`MtOpReader`](mallacc_workloads::MtOpReader)
-/// over a trace file — so the full op sequence never has to exist in
-/// memory. The fleet scenario engine feeds million-request service
-/// streams through this entry point.
+/// Runs `(core, op)` pairs on a shared `cores`-thread TCMalloc configured
+/// by `config` and captures the per-core replay streams. The pairs come
+/// from any iterator — an [`MtTrace`](mallacc_workloads::MtTrace), a
+/// generator, a [`MtOpReader`](mallacc_workloads::MtOpReader) over a trace
+/// file — so the full op sequence never has to exist in memory. The fleet
+/// scenario engine feeds million-request service streams through this
+/// entry point.
 ///
 /// # Panics
 ///
@@ -178,41 +154,47 @@ pub fn capture_stream(
     config: TcMallocConfig,
 ) -> Capture {
     assert!(cores > 0, "need at least one core");
-    let mut alloc = TcMalloc::with_threads(config, cores);
-    let mut streams: Vec<Vec<CoreEvent>> = vec![Vec::new(); cores];
-    let mut blocks: HashMap<u64, Addr> = HashMap::new();
+    capture_on(TcMalloc::with_threads(config, cores), cores, ops)
+}
+
+/// The capture of [`capture_stream`] on any substrate: runs the ops on
+/// `heap`, a shared heap with at least `cores` threads, core `c` issuing
+/// its calls as thread `c`.
+///
+/// # Panics
+///
+/// Panics if an op names a core `>= cores`, frees a token it never
+/// allocated, or allocates a token twice (malformed stream).
+pub fn capture_on<F: FastPath>(
+    mut heap: F,
+    cores: usize,
+    ops: impl IntoIterator<Item = (usize, MtOp)>,
+) -> Capture<F> {
+    let mut streams: Vec<Vec<CoreEvent<F>>> = (0..cores).map(|_| Vec::new()).collect();
+    // Token → (allocating core, block).
+    let mut blocks: HashMap<u64, (usize, Addr)> = HashMap::new();
     let mut contention = ContentionModel::default();
+    let mut remote_frees = 0u64;
     let mut steal_invalidates = 0u64;
 
     for (core, op) in ops {
         assert!(core < cores, "op names core {core} >= {cores}");
         match op {
             MtOp::Malloc { size, token } => {
-                let outcome = alloc.malloc_on(core, size);
-                let post = post_list(&alloc, core, outcome.cls);
-                let prev = blocks.insert(token, outcome.ptr);
+                let (outcome, post) = heap.serve_malloc(core, size);
+                let info = F::malloc_info(&outcome);
+                let prev = blocks.insert(token, (core, info.ptr));
                 assert!(prev.is_none(), "token {token:#x} allocated twice");
-                let res = match &outcome.path {
-                    MallocPath::CentralRefill {
-                        via_transfer: true, ..
-                    } => Some(SharedRes::Transfer),
-                    MallocPath::CentralRefill { .. } => Some(SharedRes::Central),
-                    _ => None,
-                };
-                if let MallocPath::CentralRefill {
-                    stole_from: Some(victim),
-                    ..
-                } = outcome.path
-                {
+                if let Some(victim) = F::stolen_from(&outcome) {
                     // The steal happened *now* in global order: the
                     // invalidate lands between the victim's past and future
                     // events, which is exactly where per-core replay needs
                     // it for the malloc cache to stay consistent.
-                    let cls = outcome.cls.expect("refills are small-path");
+                    let cls = info.cls.expect("steals are small-path");
                     streams[victim].push(CoreEvent::McInvalidate { cls });
                     steal_invalidates += 1;
                 }
-                let stall = contention.charge(core, res, false);
+                let stall = contention.charge(core, F::malloc_shared(&outcome), false);
                 streams[core].push(CoreEvent::Malloc {
                     outcome,
                     post,
@@ -220,24 +202,13 @@ pub fn capture_stream(
                 });
             }
             MtOp::Free { token, sized } => {
-                let ptr = blocks
+                let (owner, ptr) = blocks
                     .remove(&token)
                     .unwrap_or_else(|| panic!("free of unknown token {token:#x}"));
-                let outcome = alloc.free_on(core, ptr, sized);
-                let post = post_list(&alloc, core, outcome.cls);
-                let res = match &outcome.path {
-                    FreePath::ThreadCachePush {
-                        released: Some(_),
-                        released_to_transfer,
-                        ..
-                    } => Some(if *released_to_transfer {
-                        SharedRes::Transfer
-                    } else {
-                        SharedRes::Central
-                    }),
-                    _ => None,
-                };
-                let stall = contention.charge(core, res, outcome.remote);
+                let remote = owner != core;
+                remote_frees += u64::from(remote);
+                let (outcome, post) = heap.serve_free(core, ptr, sized);
+                let stall = contention.charge(core, F::free_shared(&outcome), remote);
                 streams[core].push(CoreEvent::Free {
                     outcome,
                     post,
@@ -259,14 +230,22 @@ pub fn capture_stream(
 
     Capture {
         streams,
-        alloc_stats: alloc.stats(),
+        alloc_stats: heap.stats(),
+        remote_frees,
         steal_invalidates,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use mallacc_tcmalloc::MallocPath;
+    use mallacc_workloads::MtTrace;
+
     use super::*;
+
+    fn capture(trace: &MtTrace, config: TcMallocConfig) -> Capture {
+        capture_stream(trace.cores(), trace.ops().iter().copied(), config)
+    }
 
     #[test]
     fn capture_is_deterministic() {
@@ -308,6 +287,7 @@ mod tests {
         let t = MtTrace::producer_consumer(2, 200, 1);
         let c = capture(&t, TcMallocConfig::default());
         assert!(c.alloc_stats.remote_frees > 0, "ring must free remotely");
+        assert_eq!(c.remote_frees, c.alloc_stats.remote_frees);
         let some_free_stalled = c.streams.iter().flatten().any(|e| {
             matches!(e, CoreEvent::Free { contention, outcome, .. }
                 if outcome.remote && *contention >= REMOTE_FREE_CYCLES)

@@ -17,12 +17,16 @@
 //! across host thread schedules: nothing a core computes during an epoch
 //! depends on any other core's progress through it.
 
-use mallacc::{CallRecord, MallocCacheStats, MallocSim, Mode, SimMode, SimTotals, TraceSink};
+use std::marker::PhantomData;
+
+use mallacc::{
+    CallRecord, Driver, FastPath, MallocCacheStats, Mode, SimMode, SimTotals, TraceSink,
+};
 use mallacc_cache::{Addr, CacheStats, SharedL3};
-use mallacc_tcmalloc::TcMallocConfig;
+use mallacc_tcmalloc::{AllocStats, TcMalloc};
 use mallacc_workloads::{MtOp, MtTrace};
 
-use crate::capture::{capture_stream, CoreEvent};
+use crate::capture::{capture_on, CoreEvent};
 
 /// Default events each core replays between L3 synchronisation barriers.
 pub const DEFAULT_EPOCH_EVENTS: usize = 256;
@@ -34,7 +38,9 @@ fn app_base(core: usize) -> Addr {
     0x7000_0000 + core as u64 * 0x1000_0000
 }
 
-/// The N-core simulator: functional capture plus epoch-parallel replay.
+/// The N-core simulator of substrate `F` (TCMalloc by default): functional
+/// capture on one shared heap plus epoch-parallel replay on per-core
+/// [`Driver`]s.
 ///
 /// # Example
 ///
@@ -48,14 +54,22 @@ fn app_base(core: usize) -> Addr {
 /// assert_eq!(r.per_core.len(), 2);
 /// assert!(r.aggregate().allocator_cycles() > 0);
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct MulticoreSim {
+#[derive(Debug)]
+pub struct MulticoreSim<F = TcMalloc> {
     mode: Mode,
     cores: usize,
     epoch_events: usize,
-    alloc_config: TcMallocConfig,
     sim: SimMode,
+    substrate: PhantomData<fn() -> F>,
 }
+
+impl<F> Clone for MulticoreSim<F> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<F> Copy for MulticoreSim<F> {}
 
 /// One core's share of a run.
 #[derive(Debug, Clone, Copy)]
@@ -68,15 +82,18 @@ pub struct CoreReport {
     pub l3: CacheStats,
 }
 
-/// Result of one multi-core run.
+/// Result of one multi-core run; `S` is the substrate's allocator
+/// statistics (TCMalloc's by default).
 #[derive(Debug, Clone)]
-pub struct MtRunResult {
+pub struct MtRunResult<S = AllocStats> {
     /// The mode the timing was replayed under.
     pub mode: Mode,
     /// Per-core reports, indexed by core.
     pub per_core: Vec<CoreReport>,
     /// The shared functional allocator's statistics (phase A).
-    pub alloc: mallacc_tcmalloc::AllocStats,
+    pub alloc: S,
+    /// Frees issued by a core other than the allocating one (phase A).
+    pub remote_frees: u64,
     /// The shared L3 master's statistics (accesses as committed).
     pub shared_l3: CacheStats,
     /// L3-level accesses merged into the master.
@@ -87,7 +104,7 @@ pub struct MtRunResult {
     pub steal_invalidates: u64,
 }
 
-impl MtRunResult {
+impl<S> MtRunResult<S> {
     /// Sum of every core's totals.
     pub fn aggregate(&self) -> SimTotals {
         let mut t = SimTotals::default();
@@ -121,18 +138,33 @@ impl MtRunResult {
             .max()
             .unwrap_or(0)
     }
+
+    /// Drops the substrate-specific allocator statistics, so runs of
+    /// different substrates share one type.
+    pub fn without_alloc(self) -> MtRunResult<()> {
+        MtRunResult {
+            mode: self.mode,
+            per_core: self.per_core,
+            alloc: (),
+            remote_frees: self.remote_frees,
+            shared_l3: self.shared_l3,
+            shared_l3_accesses: self.shared_l3_accesses,
+            epochs: self.epochs,
+            steal_invalidates: self.steal_invalidates,
+        }
+    }
 }
 
 /// One core's replay state (engine + stream cursor + app-touch cursor).
-struct CoreReplay {
-    sim: MallocSim,
-    stream: Vec<CoreEvent>,
+struct CoreReplay<F: FastPath> {
+    sim: Driver<F>,
+    stream: Vec<CoreEvent<F>>,
     pos: usize,
     touch_cursor: u64,
     app_base: Addr,
 }
 
-impl CoreReplay {
+impl<F: FastPath> CoreReplay<F> {
     fn done(&self) -> bool {
         self.pos >= self.stream.len()
     }
@@ -177,20 +209,32 @@ impl CoreReplay {
 }
 
 impl MulticoreSim {
-    /// A `cores`-core simulator in `mode` with default epoch length and
-    /// allocator configuration.
+    /// A `cores`-core TCMalloc simulator in `mode` with the default epoch
+    /// length.
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero.
     pub fn new(mode: Mode, cores: usize) -> Self {
+        Self::for_substrate(mode, cores)
+    }
+}
+
+impl<F: FastPath> MulticoreSim<F> {
+    /// A `cores`-core simulator of substrate `F` in `mode` with the
+    /// default epoch length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero.
+    pub fn for_substrate(mode: Mode, cores: usize) -> Self {
         assert!(cores > 0, "need at least one core");
         Self {
             mode,
             cores,
             epoch_events: DEFAULT_EPOCH_EVENTS,
-            alloc_config: TcMallocConfig::default(),
             sim: SimMode::Full,
+            substrate: PhantomData,
         }
     }
 
@@ -202,12 +246,6 @@ impl MulticoreSim {
     pub fn with_epoch_events(mut self, events: usize) -> Self {
         assert!(events > 0, "epoch must make progress");
         self.epoch_events = events;
-        self
-    }
-
-    /// Overrides the functional allocator's configuration.
-    pub fn with_alloc_config(mut self, config: TcMallocConfig) -> Self {
-        self.alloc_config = config;
         self
     }
 
@@ -238,7 +276,7 @@ impl MulticoreSim {
     /// # Panics
     ///
     /// Panics if the trace was generated for a different core count.
-    pub fn run(&self, trace: &MtTrace) -> MtRunResult {
+    pub fn run(&self, trace: &MtTrace) -> MtRunResult<F::Stats> {
         self.run_with_sinks(trace, Vec::new()).0
     }
 
@@ -260,7 +298,7 @@ impl MulticoreSim {
         &self,
         trace: &MtTrace,
         sinks: Vec<Box<dyn TraceSink>>,
-    ) -> (MtRunResult, Vec<Box<dyn TraceSink>>) {
+    ) -> (MtRunResult<F::Stats>, Vec<Box<dyn TraceSink>>) {
         assert_eq!(
             trace.cores(),
             self.cores,
@@ -270,9 +308,12 @@ impl MulticoreSim {
     }
 
     /// Streaming variant of [`MulticoreSim::run`]: captures from any
-    /// `(core, op)` iterator via [`capture_stream`], so the trace never
-    /// has to be materialised (the fleet engine's entry point).
-    pub fn run_stream(&self, ops: impl IntoIterator<Item = (usize, MtOp)>) -> MtRunResult {
+    /// `(core, op)` iterator, so the trace never has to be materialised
+    /// (the fleet engine's entry point).
+    pub fn run_stream(
+        &self,
+        ops: impl IntoIterator<Item = (usize, MtOp)>,
+    ) -> MtRunResult<F::Stats> {
         self.run_stream_with_sinks(ops, Vec::new()).0
     }
 
@@ -286,24 +327,24 @@ impl MulticoreSim {
         &self,
         ops: impl IntoIterator<Item = (usize, MtOp)>,
         sinks: Vec<Box<dyn TraceSink>>,
-    ) -> (MtRunResult, Vec<Box<dyn TraceSink>>) {
+    ) -> (MtRunResult<F::Stats>, Vec<Box<dyn TraceSink>>) {
         assert!(
             sinks.is_empty() || sinks.len() == self.cores,
             "need one sink per core (or none)"
         );
-        let cap = capture_stream(self.cores, ops, self.alloc_config);
+        let cap = capture_on(F::shared(self.cores), self.cores, ops);
 
         let mut sink_slots: Vec<Option<Box<dyn TraceSink>>> = if sinks.is_empty() {
             (0..self.cores).map(|_| None).collect()
         } else {
             sinks.into_iter().map(Some).collect()
         };
-        let mut replays: Vec<CoreReplay> = cap
+        let mut replays: Vec<CoreReplay<F>> = cap
             .streams
             .into_iter()
             .enumerate()
             .map(|(core, stream)| {
-                let mut sim = MallocSim::new(self.mode);
+                let mut sim = Driver::<F>::new(self.mode);
                 sim.set_sampling(self.sim.plan());
                 sim.memory_mut().set_l3_logging(true);
                 if let Some(sink) = sink_slots[core].take() {
@@ -362,6 +403,7 @@ impl MulticoreSim {
                 mode: self.mode,
                 per_core,
                 alloc: cap.alloc_stats,
+                remote_frees: cap.remote_frees,
                 shared_l3: shared.stats(),
                 shared_l3_accesses: shared.committed_accesses(),
                 epochs,

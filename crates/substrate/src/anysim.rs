@@ -89,18 +89,6 @@ impl AnySim {
         dispatch!(self, s => s.free(ptr, sized))
     }
 
-    /// Simulates a free issued by a *different* core/thread than the one
-    /// this simulator models. rpmalloc routes it through the span's
-    /// deferred list; the other substrates absorb it into their local
-    /// caches (their functional models own the block either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or double free.
-    pub fn free_foreign(&mut self, ptr: Addr, sized: bool) -> CallRecord {
-        dispatch!(self, s => s.free_foreign(ptr, sized))
-    }
-
     /// Models a context switch (per-CPU migrates to the next CPU).
     pub fn context_switch(&mut self, quantum_cycles: u64) {
         dispatch!(self, s => s.context_switch(quantum_cycles));
@@ -160,7 +148,7 @@ mod tests {
 
     use super::*;
 
-    /// Runs a mixed stream of sized, unsized and foreign frees, with app
+    /// Runs a mixed stream of sized and unsized frees, with app
     /// compute (3,000 cycles) and one 1,000-cycle context switch; returns
     /// every call's `(ptr, cycles)` in order.
     fn churn(sim: &mut AnySim) -> Vec<(Addr, u64)> {
@@ -178,11 +166,7 @@ mod tests {
             live.push(r.ptr);
             if i % 3 == 2 {
                 let p = live.remove((i as usize * 7) % live.len());
-                let r = if i % 9 == 8 {
-                    sim.free_foreign(p, true)
-                } else {
-                    sim.free(p, i % 2 == 0)
-                };
+                let r = sim.free(p, i % 2 == 0);
                 calls.push((p, r.cycles));
             }
         }

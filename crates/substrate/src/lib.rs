@@ -20,30 +20,29 @@
 //! * [`RpSim`] and [`PcSim`] — both models' fast paths on the shared
 //!   per-call [`Driver`](mallacc::Driver): each model implements
 //!   [`FastPath`](mallacc::FastPath) and supplies only its µop programs,
-//!   its service-path mapping and its hooks (rpmalloc's foreign free,
-//!   per-CPU's migration on a context switch);
+//!   its service-path mapping, the shared structure its slow paths
+//!   serialise on, and its hooks (per-CPU's migration on a context
+//!   switch). Both models are multi-thread heaps (`RpMalloc::new(n)`,
+//!   `PerCpuMalloc::new(n)`), so the multi-core simulator
+//!   (`mallacc-multicore`) runs them on one shared heap like TCMalloc;
 //! * [`AnySim`] — substrate dispatch over the four drivers (TCMalloc,
 //!   jemalloc, rpmalloc, per-CPU), each under all four `accel` modes
-//!   (none/mallacc/offload/both);
-//! * [`ShardedMt`] — the documented multi-core approximation for the
-//!   non-TCMalloc substrates: per-core engines, cross-core frees routed
-//!   to the owning core (rpmalloc routes them through its deferred
-//!   lists), no shared-L3 coupling.
+//!   (none/mallacc/offload/both).
 //!
 //! # Example
 //!
 //! Every substrate shares one machine, so its numbers read the same way:
 //!
 //! ```
-//! use mallacc::{CallKind, Mode};
-//! use mallacc_substrate::{AnySim, RpSim, SubstrateKind};
+//! use mallacc::Mode;
+//! use mallacc_substrate::{AnySim, RpMalloc, RpFreePath, SubstrateKind};
 //!
-//! // rpmalloc's foreign free lands on the span's deferred list.
-//! let mut rp = RpSim::new(Mode::mallacc_default());
-//! let block = rp.malloc(64);
-//! let free = rp.free_foreign(block.ptr, true);
-//! assert_eq!(free.kind, CallKind::FreeFast);
-//! assert_eq!(rp.allocator().stats().deferred_frees, 1);
+//! // A free issued by another thread lands on the span's deferred list.
+//! let mut rp = RpMalloc::new(2);
+//! let block = rp.malloc_on(0, 64);
+//! let free = rp.free_on(1, block.ptr, true);
+//! assert!(matches!(free.path, RpFreePath::Deferred { .. }));
+//! assert_eq!(rp.stats().deferred_frees, 1);
 //!
 //! // Any substrate, any mode: the same shell totals behind AnySim.
 //! for kind in SubstrateKind::ALL {
@@ -64,7 +63,6 @@ mod pcsim;
 mod percpu;
 mod rpmalloc;
 mod rpsim;
-mod sharded;
 mod traits;
 
 pub use anysim::AnySim;
@@ -78,5 +76,4 @@ pub use rpmalloc::{
     RpStats,
 };
 pub use rpsim::RpSim;
-pub use sharded::{ShardedMt, ShardedTotals};
 pub use traits::{Allocator, AnyAllocator, GenericAlloc, GenericFree};

@@ -13,14 +13,16 @@
 //! caching via `sync_list`).
 
 use mallacc::programs::emit_overhead;
-use mallacc::{CallInfo, Driver, EmitCtx, FastPath, PopResult, RangeKeying};
+use std::sync::OnceLock;
+
+use mallacc::{CallInfo, Driver, EmitCtx, FastPath, PopResult, PostList, RangeKeying, SharedRes};
 use mallacc_cache::Addr;
 use mallacc_offload::ServicePath;
 use mallacc_ooo::{Component, Engine, Reg, Uop};
-use mallacc_tcmalloc::ClassId;
+use mallacc_tcmalloc::{ClassId, SizeClasses};
 
 use crate::percpu::{
-    pc_layout, PcFreeOutcome, PcFreePath, PcMallocOutcome, PcMallocPath, PerCpuMalloc,
+    pc_layout, PcFreeOutcome, PcFreePath, PcMallocOutcome, PcMallocPath, PcStats, PerCpuMalloc,
 };
 
 /// The per-CPU TCMalloc simulator.
@@ -41,6 +43,12 @@ pub type PcSim = Driver<PerCpuMalloc>;
 
 fn raw_class(cls: ClassId) -> u16 {
     u16::from(cls.as_u8())
+}
+
+/// Size classes per CPU slab set — the stride of the slab layout.
+fn num_classes() -> usize {
+    static N: OnceLock<usize> = OnceLock::new();
+    *N.get_or_init(|| SizeClasses::tcmalloc_2007().num_classes())
 }
 
 /// TCMalloc's two dependent table loads (Figure 5's class-index array
@@ -72,92 +80,88 @@ fn emit_large(cpu: &mut Engine, pages: u64, grew: bool) {
     }
 }
 
-impl PerCpuMalloc {
-    /// The rseq pop: cpu-id read, slab-header load, slot load (address
-    /// computed from the header — but served from the same cache line
-    /// region, not chased through the block), header store.
-    fn emit_pop_sw(&self, cpu: &mut Engine, cpu_id: usize, raw: u16, depth: u64, dep: Reg) -> Reg {
-        let ncls = self.classes().num_classes();
-        let header = pc_layout::slab_header(cpu_id, raw as u8, ncls);
-        let id = cpu.alloc_reg();
-        cpu.push(Uop::alu(1, Some(id), &[dep]));
-        let hdr = cpu.alloc_reg();
-        cpu.push(Uop::load(header, hdr, &[id]));
-        cpu.push(Uop::branch(false, &[hdr]));
-        let ptr = cpu.alloc_reg();
-        let slot = pc_layout::slab_slot(cpu_id, raw as u8, ncls, depth.saturating_sub(1) as usize);
-        cpu.push(Uop::load(slot, ptr, &[hdr]));
-        cpu.push(Uop::store(header, &[hdr]));
-        ptr
-    }
+/// The rseq pop: cpu-id read, slab-header load, slot load (address
+/// computed from the header — but served from the same cache line
+/// region, not chased through the block), header store.
+fn emit_pop_sw(cpu: &mut Engine, cpu_id: usize, raw: u16, depth: u64, dep: Reg) -> Reg {
+    let ncls = num_classes();
+    let header = pc_layout::slab_header(cpu_id, raw as u8, ncls);
+    let id = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(id), &[dep]));
+    let hdr = cpu.alloc_reg();
+    cpu.push(Uop::load(header, hdr, &[id]));
+    cpu.push(Uop::branch(false, &[hdr]));
+    let ptr = cpu.alloc_reg();
+    let slot = pc_layout::slab_slot(cpu_id, raw as u8, ncls, depth.saturating_sub(1) as usize);
+    cpu.push(Uop::load(slot, ptr, &[hdr]));
+    cpu.push(Uop::store(header, &[hdr]));
+    ptr
+}
 
-    fn emit_push_sw(
-        &self,
-        cpu: &mut Engine,
-        cpu_id: usize,
-        raw: u16,
-        depth_after: u64,
-        ptr_reg: Reg,
-        dep: Reg,
-    ) {
-        let ncls = self.classes().num_classes();
-        let header = pc_layout::slab_header(cpu_id, raw as u8, ncls);
-        let id = cpu.alloc_reg();
-        cpu.push(Uop::alu(1, Some(id), &[dep]));
-        let hdr = cpu.alloc_reg();
-        cpu.push(Uop::load(header, hdr, &[id]));
-        cpu.push(Uop::branch(false, &[hdr]));
-        let slot = pc_layout::slab_slot(
-            cpu_id,
-            raw as u8,
-            ncls,
-            depth_after.saturating_sub(1) as usize,
-        );
-        cpu.push(Uop::store(slot, &[ptr_reg, hdr]));
-        cpu.push(Uop::store(header, &[hdr]));
-    }
+fn emit_push_sw(
+    cpu: &mut Engine,
+    cpu_id: usize,
+    raw: u16,
+    depth_after: u64,
+    ptr_reg: Reg,
+    dep: Reg,
+) {
+    let ncls = num_classes();
+    let header = pc_layout::slab_header(cpu_id, raw as u8, ncls);
+    let id = cpu.alloc_reg();
+    cpu.push(Uop::alu(1, Some(id), &[dep]));
+    let hdr = cpu.alloc_reg();
+    cpu.push(Uop::load(header, hdr, &[id]));
+    cpu.push(Uop::branch(false, &[hdr]));
+    let slot = pc_layout::slab_slot(
+        cpu_id,
+        raw as u8,
+        ncls,
+        depth_after.saturating_sub(1) as usize,
+    );
+    cpu.push(Uop::store(slot, &[ptr_reg, hdr]));
+    cpu.push(Uop::store(header, &[hdr]));
+}
 
-    fn emit_refill(
-        &self,
-        cpu: &mut Engine,
-        cpu_id: usize,
-        raw: u16,
-        from_central: u64,
-        carved: u64,
-        grew: bool,
-    ) {
-        let ncls = self.classes().num_classes();
-        // Central-list lock.
-        let lock = cpu.alloc_reg();
-        cpu.push(Uop::alu(30, Some(lock), &[]));
-        if grew {
-            let d = cpu.alloc_reg();
-            cpu.push(Uop::alu(8000, Some(d), &[]));
-        }
-        let mut dep = lock;
-        for i in 0..from_central {
-            let d = cpu.alloc_reg();
-            cpu.push(Uop::load(pc_layout::CENTRAL_BASE + i * 8, d, &[dep]));
-            cpu.push(Uop::store(
-                pc_layout::slab_slot(cpu_id, raw as u8, ncls, i as usize),
-                &[d],
-            ));
-            dep = d;
-        }
-        for i in 0..carved {
-            let d = cpu.alloc_reg();
-            cpu.push(Uop::alu(1, Some(d), &[dep]));
-            cpu.push(Uop::store(
-                pc_layout::slab_slot(cpu_id, raw as u8, ncls, (from_central + i) as usize),
-                &[d],
-            ));
-            dep = d;
-        }
+fn emit_refill(
+    cpu: &mut Engine,
+    cpu_id: usize,
+    raw: u16,
+    from_central: u64,
+    carved: u64,
+    grew: bool,
+) {
+    let ncls = num_classes();
+    // Central-list lock.
+    let lock = cpu.alloc_reg();
+    cpu.push(Uop::alu(30, Some(lock), &[]));
+    if grew {
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::alu(8000, Some(d), &[]));
+    }
+    let mut dep = lock;
+    for i in 0..from_central {
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::load(pc_layout::CENTRAL_BASE + i * 8, d, &[dep]));
         cpu.push(Uop::store(
-            pc_layout::slab_header(cpu_id, raw as u8, ncls),
-            &[dep],
+            pc_layout::slab_slot(cpu_id, raw as u8, ncls, i as usize),
+            &[d],
         ));
+        dep = d;
     }
+    for i in 0..carved {
+        let d = cpu.alloc_reg();
+        cpu.push(Uop::alu(1, Some(d), &[dep]));
+        cpu.push(Uop::store(
+            pc_layout::slab_slot(cpu_id, raw as u8, ncls, (from_central + i) as usize),
+            &[d],
+        ));
+        dep = d;
+    }
+    cpu.push(Uop::store(
+        pc_layout::slab_header(cpu_id, raw as u8, ncls),
+        &[dep],
+    ));
 }
 
 /// The free-side class discovery: sized deletes use the table, unsized
@@ -178,11 +182,19 @@ fn emit_free_class(sh: &mut EmitCtx, ptr_reg: Reg, outcome: &PcFreeOutcome, raw:
 /// The per-CPU build's sampling counter.
 const SAMPLER_COUNTER: Addr = pc_layout::SLAB_BASE - 0x40;
 
+/// The per-CPU build's shared structure is TCMalloc's central free list:
+/// slab refills and drains take its lock. Each thread runs pinned to the
+/// CPU of the same number.
 impl FastPath for PerCpuMalloc {
     type Malloc = PcMallocOutcome;
     type Free = PcFreeOutcome;
-    type Post = ();
+    type Stats = PcStats;
 
+    fn shared(threads: usize) -> Self {
+        PerCpuMalloc::new(threads)
+    }
+
+    /// Two CPUs, so a context switch can migrate the thread.
     fn cold() -> Self {
         PerCpuMalloc::new(2)
     }
@@ -192,12 +204,38 @@ impl FastPath for PerCpuMalloc {
     /// keeps the integration identical across non-TCMalloc substrates.
     const KEYING: Option<RangeKeying> = Some(RangeKeying::RequestedSize);
 
-    fn serve_malloc(&mut self, size: u64) -> (PcMallocOutcome, ()) {
-        (self.malloc(size), ())
+    /// The CPU the thread currently runs on.
+    fn current_thread(&self) -> usize {
+        self.cur_cpu()
     }
 
-    fn serve_free(&mut self, ptr: Addr, sized: bool) -> (PcFreeOutcome, ()) {
-        (self.free(ptr, sized), ())
+    fn serve_malloc(&mut self, thread: usize, size: u64) -> (PcMallocOutcome, PostList) {
+        self.set_cpu(thread);
+        let outcome = self.malloc(size);
+        let post = PostList {
+            head: outcome.post_head,
+            next: outcome.post_next,
+        };
+        (outcome, post)
+    }
+
+    fn serve_free(&mut self, thread: usize, ptr: Addr, sized: bool) -> (PcFreeOutcome, PostList) {
+        self.set_cpu(thread);
+        let outcome = self.free(ptr, sized);
+        let (head, next) = outcome.class.map_or((None, None), |c| self.slab_top2(c));
+        (outcome, PostList { head, next })
+    }
+
+    fn stats(&self) -> PcStats {
+        PerCpuMalloc::stats(self)
+    }
+
+    fn malloc_shared(outcome: &PcMallocOutcome) -> Option<SharedRes> {
+        matches!(outcome.path, PcMallocPath::SlabRefill { .. }).then_some(SharedRes::Central)
+    }
+
+    fn free_shared(outcome: &PcFreeOutcome) -> Option<SharedRes> {
+        matches!(outcome.path, PcFreePath::SlabDrain { .. }).then_some(SharedRes::Central)
     }
 
     /// The thread migrates to the next CPU's slab set.
@@ -263,7 +301,7 @@ impl FastPath for PerCpuMalloc {
         }
     }
 
-    fn emit_malloc(&self, sh: &mut EmitCtx, outcome: &PcMallocOutcome, _: ()) {
+    fn emit_malloc(sh: &mut EmitCtx, outcome: &PcMallocOutcome, post: PostList) {
         let size_reg = sh.prologue(4);
         let size_class = |sh: &mut EmitCtx, raw| {
             sh.size_class(
@@ -290,24 +328,24 @@ impl FastPath for PerCpuMalloc {
                 } else if sh.accel().is_some_and(|a| a.list_opt) {
                     let (pop, result) = sh.mchdpop(raw, cls_reg);
                     sh.cpu.push(Uop::branch(false, &[pop]));
-                    let ncls = self.classes().num_classes();
+                    let ncls = num_classes();
                     match result {
                         PopResult::Hit { head, next } => {
                             debug_assert_eq!(head, outcome.ptr, "per-cpu cache pop mismatch");
-                            debug_assert_eq!(Some(next), outcome.post_head);
+                            debug_assert_eq!(Some(next), post.head);
                             sh.cpu.push(Uop::store(
                                 pc_layout::slab_header(outcome.cpu, raw as u8, ncls),
                                 &[pop],
                             ));
                         }
                         PopResult::Miss => {
-                            self.emit_pop_sw(&mut sh.cpu, outcome.cpu, raw, *depth, cls_reg);
+                            emit_pop_sw(&mut sh.cpu, outcome.cpu, raw, *depth, cls_reg);
                         }
                     }
                     if sh.accel().is_some_and(|a| a.prefetch) {
                         // The array is contiguous: reconstruct the cached
                         // pair with one cheap slot load + two pushes.
-                        if let Some(new_top) = outcome.post_head {
+                        if let Some(new_top) = post.head {
                             let below = sh.cpu.alloc_reg();
                             let slot = pc_layout::slab_slot(
                                 outcome.cpu,
@@ -316,11 +354,11 @@ impl FastPath for PerCpuMalloc {
                                 depth.saturating_sub(2) as usize,
                             );
                             sh.cpu.push(Uop::load(slot, below, &[pop]));
-                            sh.mchdpush_pair(raw, Some(new_top), outcome.post_next, below);
+                            sh.mchdpush_pair(raw, Some(new_top), post.next, below);
                         }
                     }
                 } else {
-                    self.emit_pop_sw(&mut sh.cpu, outcome.cpu, raw, *depth, cls_reg);
+                    emit_pop_sw(&mut sh.cpu, outcome.cpu, raw, *depth, cls_reg);
                 }
             }
             PcMallocPath::SlabRefill {
@@ -333,16 +371,16 @@ impl FastPath for PerCpuMalloc {
                 sh.emit_sampling(SAMPLER_COUNTER, cls_reg, false);
                 sh.cpu.set_component(Component::SlowPath);
                 sh.cpu.push(Uop::branch(true, &[cls_reg]));
-                self.emit_refill(&mut sh.cpu, outcome.cpu, raw, *from_central, *carved, *grew);
+                emit_refill(&mut sh.cpu, outcome.cpu, raw, *from_central, *carved, *grew);
                 let depth = from_central + carved;
-                self.emit_pop_sw(&mut sh.cpu, outcome.cpu, raw, depth, cls_reg);
-                sh.resync(raw, outcome.post_head, outcome.post_next);
+                emit_pop_sw(&mut sh.cpu, outcome.cpu, raw, depth, cls_reg);
+                sh.resync(raw, post.head, post.next);
             }
         }
         sh.overhead(4);
     }
 
-    fn emit_free(&self, sh: &mut EmitCtx, outcome: &PcFreeOutcome, _: ()) {
+    fn emit_free(sh: &mut EmitCtx, outcome: &PcFreeOutcome, post: PostList) {
         let ptr_reg = sh.prologue(3);
         match &outcome.path {
             PcFreePath::Large { pages } => {
@@ -358,7 +396,7 @@ impl FastPath for PerCpuMalloc {
                     if sh.accel().is_some_and(|a| a.list_opt) {
                         sh.mchdpush(raw, outcome.ptr, cls_reg);
                     }
-                    self.emit_push_sw(&mut sh.cpu, outcome.cpu, raw, *depth, ptr_reg, cls_reg);
+                    emit_push_sw(&mut sh.cpu, outcome.cpu, raw, *depth, ptr_reg, cls_reg);
                 }
             }
             PcFreePath::SlabDrain { moved } => {
@@ -379,10 +417,9 @@ impl FastPath for PerCpuMalloc {
                     dep = d;
                 }
                 let depth_after = 1 + pc_layout::SLAB_CAP as u64 / 2;
-                self.emit_push_sw(&mut sh.cpu, outcome.cpu, raw, depth_after, ptr_reg, dep);
+                emit_push_sw(&mut sh.cpu, outcome.cpu, raw, depth_after, ptr_reg, dep);
                 // Half the array left with the drain; resync the pair.
-                let (top, below) = self.slab_top2(cls);
-                sh.resync(raw, top, below);
+                sh.resync(raw, post.head, post.next);
             }
         }
         sh.overhead(3);

@@ -269,8 +269,8 @@ impl PerCpuMalloc {
         self.cur_cpu = (self.cur_cpu + 1) % self.cpus;
     }
 
-    /// Pins the current CPU (the sharded multi-core harness sets this
-    /// per core).
+    /// Pins the current CPU (the multi-core capture pins core `c`'s calls
+    /// to CPU `c`).
     pub fn set_cpu(&mut self, cpu: usize) {
         assert!(cpu < self.cpus, "cpu {cpu} out of range");
         self.cur_cpu = cpu;

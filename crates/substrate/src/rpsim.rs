@@ -15,18 +15,16 @@
 //! resyncs on span installs and deferred adoptions.
 
 use mallacc::programs::emit_overhead;
-use mallacc::{CallInfo, Driver, EmitCtx, FastPath, PopResult, RangeKeying};
+use mallacc::{CallInfo, Driver, EmitCtx, FastPath, PopResult, PostList, RangeKeying, SharedRes};
 use mallacc_cache::Addr;
 use mallacc_offload::ServicePath;
 use mallacc_ooo::{Component, Engine, Reg, Uop};
 
 use crate::rpmalloc::{
-    rp_layout, RpFreeOutcome, RpFreePath, RpMalloc, RpMallocOutcome, RpMallocPath,
+    rp_layout, RpFreeOutcome, RpFreePath, RpMalloc, RpMallocOutcome, RpMallocPath, RpStats,
 };
 
-/// The rpmalloc simulator. Thread 0 runs the app; thread 1 stands in for
-/// every foreign thread whose frees ([`Driver::free_foreign`]) land on the
-/// deferred lists.
+/// The rpmalloc simulator.
 ///
 /// # Example
 ///
@@ -98,30 +96,52 @@ fn emit_owner(cpu: &mut Engine, span: Addr, ptr_reg: Reg) -> Reg {
     owner
 }
 
+/// rpmalloc has no locks: its one shared structure is a span's deferred
+/// list, a lock-free hand-off. The owner's atomic adoption of the list
+/// serialises with the foreign frees pushing onto it. A foreign free's CAS
+/// touches only its span's header line, so the capture prices it as the
+/// remote line pull every cross-core free pays, not as a hand-off
+/// collision with every other core's frees.
 impl FastPath for RpMalloc {
     type Malloc = RpMallocOutcome;
     type Free = RpFreeOutcome;
-    type Post = ();
+    type Stats = RpStats;
 
-    fn cold() -> Self {
-        RpMalloc::new(2)
+    fn shared(threads: usize) -> Self {
+        RpMalloc::new(threads)
     }
 
     /// Requested-size keying: rpmalloc's class function is plain
     /// arithmetic, not TCMalloc's index table.
     const KEYING: Option<RangeKeying> = Some(RangeKeying::RequestedSize);
 
-    fn serve_malloc(&mut self, size: u64) -> (RpMallocOutcome, ()) {
-        (self.malloc(size), ())
+    fn serve_malloc(&mut self, thread: usize, size: u64) -> (RpMallocOutcome, PostList) {
+        let outcome = self.malloc_on(thread, size);
+        let post = PostList {
+            head: outcome.post_head,
+            next: outcome.post_next,
+        };
+        (outcome, post)
     }
 
-    fn serve_free(&mut self, ptr: Addr, sized: bool) -> (RpFreeOutcome, ()) {
-        (self.free(ptr, sized), ())
+    fn serve_free(&mut self, thread: usize, ptr: Addr, sized: bool) -> (RpFreeOutcome, PostList) {
+        let outcome = self.free_on(thread, ptr, sized);
+        let (head, next) = outcome
+            .class
+            .map_or((None, None), |c| self.list_top2(thread, c));
+        (outcome, PostList { head, next })
     }
 
-    /// A foreign thread pushes the block onto its span's deferred list.
-    fn serve_foreign_free(&mut self, ptr: Addr, sized: bool) -> (RpFreeOutcome, ()) {
-        (self.free_on(1, ptr, sized), ())
+    fn stats(&self) -> RpStats {
+        RpMalloc::stats(self)
+    }
+
+    fn malloc_shared(outcome: &RpMallocOutcome) -> Option<SharedRes> {
+        matches!(outcome.path, RpMallocPath::DeferredAdopt { .. }).then_some(SharedRes::Transfer)
+    }
+
+    fn free_shared(_: &RpFreeOutcome) -> Option<SharedRes> {
+        None
     }
 
     fn malloc_info(outcome: &RpMallocOutcome) -> CallInfo {
@@ -173,7 +193,7 @@ impl FastPath for RpMalloc {
         }
     }
 
-    fn emit_malloc(&self, sh: &mut EmitCtx, outcome: &RpMallocOutcome, _: ()) {
+    fn emit_malloc(sh: &mut EmitCtx, outcome: &RpMallocOutcome, post: PostList) {
         let size_reg = sh.prologue(4);
         // The size-class component under the current mode. With no memory
         // accesses to hide, `mcszlookup` can at best shave one ALU op here.
@@ -214,7 +234,7 @@ impl FastPath for RpMalloc {
                     let head_reg = match result {
                         PopResult::Hit { head, next } => {
                             debug_assert_eq!(head, outcome.ptr, "rpmalloc cache pop mismatch");
-                            debug_assert_eq!(Some(next), outcome.post_head);
+                            debug_assert_eq!(Some(next), post.head);
                             sh.cpu
                                 .push(Uop::store(rp_layout::span_header(span), &[pop]));
                             pop
@@ -222,7 +242,7 @@ impl FastPath for RpMalloc {
                         PopResult::Miss => emit_pop_sw(&mut sh.cpu, span, outcome.ptr, heap),
                     };
                     if sh.accel().is_some_and(|a| a.prefetch) {
-                        if let Some(new_top) = outcome.post_head {
+                        if let Some(new_top) = post.head {
                             // A hit consumed the cached pair; refill it by
                             // chasing one load for the entry under the new
                             // top. rpmalloc's fast path is too short to
@@ -238,7 +258,7 @@ impl FastPath for RpMalloc {
                             } else {
                                 head_reg
                             };
-                            sh.mchdpush_pair(raw, Some(new_top), outcome.post_next, below);
+                            sh.mchdpush_pair(raw, Some(new_top), post.next, below);
                         }
                     }
                 } else {
@@ -285,7 +305,7 @@ impl FastPath for RpMalloc {
                 let xchg = sh.cpu.alloc_reg();
                 sh.cpu.push(Uop::alu(8, Some(xchg), &[heap]));
                 emit_pop_sw(&mut sh.cpu, span, outcome.ptr, xchg);
-                sh.resync(raw, outcome.post_head, outcome.post_next);
+                sh.resync(raw, post.head, post.next);
             }
             RpMallocPath::NewSpan { reused, grew } => {
                 let cls_reg = size_class(sh);
@@ -316,14 +336,14 @@ impl FastPath for RpMalloc {
                 if let Some(raw) = outcome.class {
                     sh.cpu
                         .push(Uop::store(rp_layout::heap_class_entry(raw), &[dep]));
-                    sh.resync(raw, outcome.post_head, outcome.post_next);
+                    sh.resync(raw, post.head, post.next);
                 }
             }
         }
         sh.overhead(4);
     }
 
-    fn emit_free(&self, sh: &mut EmitCtx, outcome: &RpFreeOutcome, _: ()) {
+    fn emit_free(sh: &mut EmitCtx, outcome: &RpFreeOutcome, _: PostList) {
         let ptr_reg = sh.prologue(3);
         match &outcome.path {
             RpFreePath::Large { spans } => {

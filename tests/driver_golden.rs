@@ -50,7 +50,7 @@ impl Calls {
 
 /// Drives the fixed op program: sized and unsized frees, one allocation
 /// over 256 KiB, antagonist evictions, context switches, application
-/// compute and memory traffic, and cross-thread frees.
+/// compute and memory traffic.
 fn run_program(sim: &mut AnySim) -> Calls {
     let mut calls = Calls {
         listed: String::new(),
@@ -98,11 +98,7 @@ fn run_program(sim: &mut AnySim) -> Calls {
         } else {
             let ptr = live.swap_remove((r >> 16) as usize % live.len());
             let sized = !r.is_multiple_of(3);
-            if r.is_multiple_of(41) {
-                calls.record("ffor", sim.free_foreign(ptr, sized));
-            } else {
-                calls.record("f", sim.free(ptr, sized));
-            }
+            calls.record("f", sim.free(ptr, sized));
         }
     }
     for ptr in live {

@@ -153,6 +153,33 @@ fn sweep_results_are_bit_identical_across_jobs() {
     assert_eq!(serial.knee, parallel.knee);
 }
 
+/// Fleet points of every substrate at 32 cores run on the one multi-core
+/// engine; their reports are byte-identical at every `--jobs`.
+#[test]
+fn thirty_two_core_fleet_reports_are_identical_across_jobs() {
+    let mut grid = ParamGrid::parse(
+        "workload=fleet:rpc-fanout;substrate=tcmalloc,jemalloc,rpmalloc,percpu;cores=32",
+    )
+    .expect("grid parses");
+    grid.scale = RunScale {
+        calls: 320,
+        warmup: 0,
+    };
+    let run = |jobs| {
+        let report = run_sweep(
+            &grid,
+            &SweepOptions {
+                jobs,
+                memo_path: None,
+            },
+        )
+        .expect("sweep runs");
+        assert_eq!(report.points.len(), Substrate::ALL.len());
+        (report.render(), report.to_json().render())
+    };
+    assert_eq!(run(1), run(2));
+}
+
 /// The acceptance criterion: a second run over the same grid is served
 /// entirely from the memo store and reproduces the same results.
 #[test]
