@@ -31,7 +31,7 @@ use mallacc_workloads::MtOp;
 
 /// One event of a core's private replay stream.
 #[derive(Debug)]
-pub enum CoreEvent<F: FastPath = TcMalloc> {
+pub enum CoreEvent<F: FastPath> {
     /// Replay the timing of a captured malloc.
     Malloc {
         /// The functional result of the call.
@@ -124,7 +124,7 @@ impl ContentionModel {
 
 /// Everything phase A hands to phase B.
 #[derive(Debug)]
-pub struct Capture<F: FastPath = TcMalloc> {
+pub struct Capture<F: FastPath> {
     /// Per-core event streams, in each core's program order.
     pub streams: Vec<Vec<CoreEvent<F>>>,
     /// The shared allocator's statistics over the whole trace.
@@ -152,7 +152,7 @@ pub fn capture_stream(
     cores: usize,
     ops: impl IntoIterator<Item = (usize, MtOp)>,
     config: TcMallocConfig,
-) -> Capture {
+) -> Capture<TcMalloc> {
     assert!(cores > 0, "need at least one core");
     capture_on(TcMalloc::with_threads(config, cores), cores, ops)
 }
@@ -165,7 +165,7 @@ pub fn capture_stream(
 ///
 /// Panics if an op names a core `>= cores`, frees a token it never
 /// allocated, or allocates a token twice (malformed stream).
-pub fn capture_on<F: FastPath>(
+pub(crate) fn capture_on<F: FastPath>(
     mut heap: F,
     cores: usize,
     ops: impl IntoIterator<Item = (usize, MtOp)>,
@@ -243,7 +243,7 @@ mod tests {
 
     use super::*;
 
-    fn capture(trace: &MtTrace, config: TcMallocConfig) -> Capture {
+    fn capture(trace: &MtTrace, config: TcMallocConfig) -> Capture<TcMalloc> {
         capture_stream(trace.cores(), trace.ops().iter().copied(), config)
     }
 

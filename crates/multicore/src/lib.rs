@@ -16,7 +16,7 @@
 //! comparisons between substrates differ only in the allocator.
 //! Simulation is split into two deterministic phases:
 //!
-//! * **Phase A — serial functional capture** ([`capture_on`]): the globally
+//! * **Phase A — serial functional capture** ([`Capture`]): the globally
 //!   interleaved `(core, op)` stream runs on one shared heap of the
 //!   substrate, core `c` issuing its calls as thread `c`, producing
 //!   per-core [`CoreEvent`] streams annotated with post-call list state and
@@ -59,6 +59,6 @@ mod capture;
 mod latency;
 mod sim;
 
-pub use capture::{capture_on, capture_stream, Capture, CoreEvent};
+pub use capture::{capture_stream, Capture, CoreEvent};
 pub use latency::{latency_sinks, take_latencies, CallLatencySink};
 pub use sim::{CoreReport, MtRunResult, MulticoreSim, DEFAULT_EPOCH_EVENTS};
