@@ -134,11 +134,15 @@ pub struct CallRecord {
 }
 
 /// What a substrate reports about one functional call: the service path
-/// it took and the fields of its [`CallRecord`].
+/// it took, the shared structure it serialised on, and the fields of its
+/// [`CallRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallInfo {
     /// The path, as the offload core would service it.
     pub path: ServicePath,
+    /// The shared allocator structure the path serialised on, if any —
+    /// what the multi-core contention model prices.
+    pub shared: Option<SharedRes>,
     /// The pointer allocated or freed.
     pub ptr: Addr,
     /// Requested size (mallocs) or rounded block size (frees).
@@ -231,15 +235,11 @@ pub trait FastPath: Sized + Send {
     /// Functional outcome of one free.
     type Free: std::fmt::Debug + Send;
     /// The functional model's statistics.
-    type Stats: std::fmt::Debug + Clone;
+    type Stats: std::fmt::Debug;
 
-    /// A cold heap shared by `threads` threads.
+    /// A cold heap shared by `threads` threads; a single-core driver
+    /// starts from `shared(1)`.
     fn shared(threads: usize) -> Self;
-
-    /// The cold heap a single-core driver starts from.
-    fn cold() -> Self {
-        Self::shared(1)
-    }
 
     /// The malloc-cache keying this substrate forces, if any: substrates
     /// without Figure 5 index hardware key on the requested size.
@@ -268,17 +268,12 @@ pub trait FastPath: Sized + Send {
     /// The functional model's statistics so far.
     fn stats(&self) -> Self::Stats;
 
-    /// Service path and record fields of a malloc outcome.
+    /// Service path, shared structure and record fields of a malloc
+    /// outcome.
     fn malloc_info(outcome: &Self::Malloc) -> CallInfo;
 
-    /// Service path and record fields of a free outcome.
+    /// Service path, shared structure and record fields of a free outcome.
     fn free_info(outcome: &Self::Free) -> CallInfo;
-
-    /// The shared structure a malloc outcome's path serialised on, if any.
-    fn malloc_shared(outcome: &Self::Malloc) -> Option<SharedRes>;
-
-    /// The shared structure a free outcome's path serialised on, if any.
-    fn free_shared(outcome: &Self::Free) -> Option<SharedRes>;
 
     /// The thread whose cached free list a malloc stole blocks from, if
     /// any: that thread's malloc-cache copy of the list is stale.
@@ -776,7 +771,7 @@ pub struct Driver<F> {
 impl<F: FastPath> Driver<F> {
     /// Creates a simulator over a cold heap on the paper's core.
     pub fn new(mode: Mode) -> Self {
-        Self::with_allocator(mode, F::cold(), CoreConfig::haswell())
+        Self::with_allocator(mode, F::shared(1), CoreConfig::haswell())
     }
 
     /// Creates a simulator over `alloc` on a core configured by `core_cfg`.

@@ -45,6 +45,15 @@ fn raw_class(cls: ClassId) -> u16 {
     u16::from(cls.as_u8())
 }
 
+/// The shared pool a refill or release moved its batch through.
+fn pool(via_transfer: bool) -> SharedRes {
+    if via_transfer {
+        SharedRes::Transfer
+    } else {
+        SharedRes::Central
+    }
+}
+
 /// Post-call list state of `cls` on thread `tid` of `alloc`.
 fn post_list(alloc: &TcMalloc, tid: usize, cls: Option<ClassId>) -> PostList {
     match cls {
@@ -234,31 +243,6 @@ impl FastPath for TcMalloc {
         TcMalloc::stats(self)
     }
 
-    fn malloc_shared(outcome: &MallocOutcome) -> Option<SharedRes> {
-        match &outcome.path {
-            MallocPath::CentralRefill {
-                via_transfer: true, ..
-            } => Some(SharedRes::Transfer),
-            MallocPath::CentralRefill { .. } => Some(SharedRes::Central),
-            _ => None,
-        }
-    }
-
-    fn free_shared(outcome: &FreeOutcome) -> Option<SharedRes> {
-        match &outcome.path {
-            FreePath::ThreadCachePush {
-                released: Some(_),
-                released_to_transfer,
-                ..
-            } => Some(if *released_to_transfer {
-                SharedRes::Transfer
-            } else {
-                SharedRes::Central
-            }),
-            _ => None,
-        }
-    }
-
     fn stolen_from(outcome: &MallocOutcome) -> Option<usize> {
         match outcome.path {
             MallocPath::CentralRefill { stole_from, .. } => stole_from,
@@ -267,6 +251,7 @@ impl FastPath for TcMalloc {
     }
 
     fn malloc_info(outcome: &MallocOutcome) -> CallInfo {
+        let mut shared = None;
         let path = match &outcome.path {
             MallocPath::Large { pages, grew_heap } => ServicePath::MallocLarge {
                 pages: *pages,
@@ -274,8 +259,12 @@ impl FastPath for TcMalloc {
             },
             MallocPath::ThreadCacheHit { .. } => ServicePath::MallocFast,
             MallocPath::CentralRefill {
-                batch, populate, ..
+                batch,
+                populate,
+                via_transfer,
+                ..
             } => {
+                shared = Some(pool(*via_transfer));
                 let batch = batch.len() as u64;
                 match populate {
                     Some(p) if p.span.grew_heap => ServicePath::MallocOs {
@@ -294,6 +283,7 @@ impl FastPath for TcMalloc {
         };
         CallInfo {
             path,
+            shared,
             ptr: outcome.ptr,
             size: outcome.requested,
             cls: outcome.cls.map(raw_class),
@@ -303,18 +293,27 @@ impl FastPath for TcMalloc {
 
     fn free_info(outcome: &FreeOutcome) -> CallInfo {
         let unsized_walk = outcome.pagemap_addrs.is_some();
+        let mut shared = None;
         let path = match &outcome.path {
             FreePath::Large { pages } => ServicePath::FreeLarge { pages: *pages },
-            FreePath::ThreadCachePush { released, .. } => match released {
-                Some(moved) => ServicePath::FreeRelease {
-                    moved: moved.len() as u64,
-                    unsized_walk,
-                },
+            FreePath::ThreadCachePush {
+                released,
+                released_to_transfer,
+                ..
+            } => match released {
+                Some(moved) => {
+                    shared = Some(pool(*released_to_transfer));
+                    ServicePath::FreeRelease {
+                        moved: moved.len() as u64,
+                        unsized_walk,
+                    }
+                }
                 None => ServicePath::FreeFast { unsized_walk },
             },
         };
         CallInfo {
             path,
+            shared,
             ptr: outcome.ptr,
             size: outcome.alloc_size,
             cls: outcome.cls.map(raw_class),

@@ -198,21 +198,6 @@ impl FastPath for JeMalloc {
         JeMalloc::stats(self)
     }
 
-    fn malloc_shared(outcome: &JeMallocOutcome) -> Option<SharedRes> {
-        matches!(outcome.path, JeMallocPath::TcacheFill { .. }).then_some(SharedRes::Central)
-    }
-
-    fn free_shared(outcome: &JeFreeOutcome) -> Option<SharedRes> {
-        matches!(
-            outcome.path,
-            JeFreePath::TcachePush {
-                flushed: Some(_),
-                ..
-            }
-        )
-        .then_some(SharedRes::Central)
-    }
-
     fn malloc_info(outcome: &JeMallocOutcome) -> CallInfo {
         let path = match &outcome.path {
             JeMallocPath::TcacheHit { .. } => ServicePath::MallocFast,
@@ -240,6 +225,8 @@ impl FastPath for JeMalloc {
             },
         };
         CallInfo {
+            shared: matches!(outcome.path, JeMallocPath::TcacheFill { .. })
+                .then_some(SharedRes::Central),
             path,
             ptr: outcome.ptr,
             size: outcome.requested,
@@ -261,6 +248,7 @@ impl FastPath for JeMalloc {
             JeFreePath::Large { pages } => ServicePath::FreeLarge { pages: *pages },
         };
         CallInfo {
+            shared: matches!(path, ServicePath::FreeRelease { .. }).then_some(SharedRes::Central),
             path,
             ptr: outcome.ptr,
             size: outcome.alloc_size,

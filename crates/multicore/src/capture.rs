@@ -20,7 +20,7 @@
 //! bit-stable across host thread schedules. Capture prices contention the
 //! same way for every substrate: a free is remote when the freeing core is
 //! not the allocating core, and each slow path names the shared structure
-//! it serialises on ([`FastPath::malloc_shared`]/[`FastPath::free_shared`]).
+//! it serialises on ([`CallInfo::shared`](mallacc::CallInfo::shared)).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -194,7 +194,7 @@ pub(crate) fn capture_on<F: FastPath>(
                     streams[victim].push(CoreEvent::McInvalidate { cls });
                     steal_invalidates += 1;
                 }
-                let stall = contention.charge(core, F::malloc_shared(&outcome), false);
+                let stall = contention.charge(core, info.shared, false);
                 streams[core].push(CoreEvent::Malloc {
                     outcome,
                     post,
@@ -208,7 +208,7 @@ pub(crate) fn capture_on<F: FastPath>(
                 let remote = owner != core;
                 remote_frees += u64::from(remote);
                 let (outcome, post) = heap.serve_free(core, ptr, sized);
-                let stall = contention.charge(core, F::free_shared(&outcome), remote);
+                let stall = contention.charge(core, F::free_info(&outcome).shared, remote);
                 streams[core].push(CoreEvent::Free {
                     outcome,
                     post,

@@ -190,13 +190,10 @@ impl FastPath for PerCpuMalloc {
     type Free = PcFreeOutcome;
     type Stats = PcStats;
 
+    /// At least two CPUs, so a single-core driver's context switch can
+    /// migrate the thread.
     fn shared(threads: usize) -> Self {
-        PerCpuMalloc::new(threads)
-    }
-
-    /// Two CPUs, so a context switch can migrate the thread.
-    fn cold() -> Self {
-        PerCpuMalloc::new(2)
+        PerCpuMalloc::new(threads.max(2))
     }
 
     /// Requested-size keying: the per-CPU build replaces the Figure 5
@@ -228,14 +225,6 @@ impl FastPath for PerCpuMalloc {
 
     fn stats(&self) -> PcStats {
         PerCpuMalloc::stats(self)
-    }
-
-    fn malloc_shared(outcome: &PcMallocOutcome) -> Option<SharedRes> {
-        matches!(outcome.path, PcMallocPath::SlabRefill { .. }).then_some(SharedRes::Central)
-    }
-
-    fn free_shared(outcome: &PcFreeOutcome) -> Option<SharedRes> {
-        matches!(outcome.path, PcFreePath::SlabDrain { .. }).then_some(SharedRes::Central)
     }
 
     /// The thread migrates to the next CPU's slab set.
@@ -274,6 +263,8 @@ impl FastPath for PerCpuMalloc {
             },
         };
         CallInfo {
+            shared: matches!(outcome.path, PcMallocPath::SlabRefill { .. })
+                .then_some(SharedRes::Central),
             path,
             ptr: outcome.ptr,
             size: outcome.requested,
@@ -293,6 +284,8 @@ impl FastPath for PerCpuMalloc {
             PcFreePath::Large { pages } => ServicePath::FreeLarge { pages: *pages },
         };
         CallInfo {
+            shared: matches!(outcome.path, PcFreePath::SlabDrain { .. })
+                .then_some(SharedRes::Central),
             path,
             ptr: outcome.ptr,
             size: outcome.alloc_size,

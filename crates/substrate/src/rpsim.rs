@@ -136,14 +136,6 @@ impl FastPath for RpMalloc {
         RpMalloc::stats(self)
     }
 
-    fn malloc_shared(outcome: &RpMallocOutcome) -> Option<SharedRes> {
-        matches!(outcome.path, RpMallocPath::DeferredAdopt { .. }).then_some(SharedRes::Transfer)
-    }
-
-    fn free_shared(_: &RpFreeOutcome) -> Option<SharedRes> {
-        None
-    }
-
     fn malloc_info(outcome: &RpMallocOutcome) -> CallInfo {
         let path = match &outcome.path {
             RpMallocPath::LocalHit { .. } | RpMallocPath::Carve { .. } => ServicePath::MallocFast,
@@ -166,6 +158,8 @@ impl FastPath for RpMalloc {
             },
         };
         CallInfo {
+            shared: matches!(outcome.path, RpMallocPath::DeferredAdopt { .. })
+                .then_some(SharedRes::Transfer),
             path,
             ptr: outcome.ptr,
             size: outcome.requested,
@@ -186,6 +180,7 @@ impl FastPath for RpMalloc {
         };
         CallInfo {
             path,
+            shared: None,
             ptr: outcome.ptr,
             size: outcome.alloc_size,
             cls: outcome.class,
