@@ -1,241 +1,17 @@
-//! `repro` — regenerate every table and figure of the Mallacc paper.
+//! `repro` — regenerate every table and figure of the Mallacc paper, and
+//! run the beyond-the-paper subcommands (`explore`, `profile`, `validate`,
+//! `fleet`, `offload`, `sample`, `substrate`).
 //!
-//! ```text
-//! repro <experiment> [--quick] [--calls N] [--trials N] [--seed N]
-//!       [--no-index-opt] [--json PATH]
-//!
-//! experiments:
-//!   fig1 fig2 fig4 fig6 fig13 fig14 fig15 fig16 fig17 fig18
-//!   table1 table2 area ablate mt all
-//!
-//! repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick]
-//!       [--seed N] [--jobs N] [--memo PATH] [--out PATH]
-//!       [--assert-memo-frac F]
-//!
-//! repro profile [--smoke] [--quick] [--pairs N] [--warmup N] [--seed N]
-//!       [--jobs N] [--uops N] [--trace PATH] [--json PATH]
-//!
-//! repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] [--laws N]
-//!       [--offload-fuzz N] [--seed N] [--jobs N] [--json PATH]
-//!
-//! repro fleet [--smoke] [--full] [--cores A,B,...] [--scenario NAME]...
-//!       [--requests N] [--weak-requests N] [--seed N] [--jobs N]
-//!       [--json PATH]
-//!
-//! repro offload [--smoke] [--full] [--workload NAME]... [--scenario NAME]...
-//!       [--depths A,B,...] [--cores A,B,...] [--calls N] [--warmup N]
-//!       [--requests N] [--seed N] [--jobs N] [--json PATH]
-//!
-//! repro sample [--smoke] [--full] [--workload NAME]... [--mallocs N]
-//!       [--plan W:D:P[:S]] [--seed N] [--jobs N] [--json PATH]
-//!
-//! repro substrate [--smoke] [--full] [--substrate NAME]...
-//!       [--workload NAME]... [--calls N] [--warmup N] [--seed N]
-//!       [--jobs N] [--json PATH]
-//! ```
-//!
-//! `--json PATH` additionally writes the machine-readable datasets of the
-//! experiments that have one (fig13, fig14, fig17, table2, mt) — the same
-//! numbers the text renders, not a re-run.
+//! `repro` with no arguments prints the usage of every command, taken
+//! from [`mallacc_bench::COMMANDS`]. `--json PATH` writes the command's
+//! machine-readable report — the same numbers the text renders, not a
+//! re-run.
 
-use mallacc_bench::{
-    cli, explore_cli, figures, fleet_cli, mt, offload_cli, profile_cli, sample_cli, substrate_cli,
-    tables, validate_cli, Scale,
-};
-use mallacc_stats::Json;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro <fig1|fig2|fig4|fig6|fig13|fig14|fig15|fig16|fig17|\
-         fig18|table1|table2|area|ablate|generality|resilience|sensitivity|sized-delete|cpi|mt|all> [--quick] [--calls N] \
-         [--trials N] [--seed N] [--no-index-opt] [--json PATH]\n\
-         \x20      repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick] \
-         [--seed N] [--jobs N] [--memo PATH] [--out PATH] [--assert-memo-frac F]\n\
-         \x20      repro profile [--smoke] [--quick] [--pairs N] [--warmup N] \
-         [--seed N] [--jobs N] [--uops N] [--trace PATH] [--json PATH]\n\
-         \x20      repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] \
-         [--laws N] [--offload-fuzz N] [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro fleet [--smoke] [--full] [--cores A,B,...] [--scenario NAME]... \
-         [--requests N] [--weak-requests N] [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro offload [--smoke] [--full] [--workload NAME]... [--scenario NAME]... \
-         [--depths A,B,...] [--cores A,B,...] [--calls N] [--warmup N] [--requests N] \
-         [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro sample [--smoke] [--full] [--workload NAME]... [--mallocs N] \
-         [--plan W:D:P[:S]] [--seed N] [--jobs N] [--json PATH]\n\
-         \x20      repro substrate [--smoke] [--full] [--substrate NAME]... [--workload NAME]... \
-         [--calls N] [--warmup N] [--seed N] [--jobs N] [--json PATH]"
-    );
-    std::process::exit(2);
-}
+use mallacc_bench::{cli, COMMANDS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-
-    if cmd == "explore" {
-        std::process::exit(explore_cli::explore(&args[1..]));
-    }
-    if cmd == "profile" {
-        std::process::exit(profile_cli::profile(&args[1..]));
-    }
-    if cmd == "validate" {
-        std::process::exit(validate_cli::validate(&args[1..]));
-    }
-    if cmd == "fleet" {
-        std::process::exit(fleet_cli::fleet(&args[1..]));
-    }
-    if cmd == "offload" {
-        std::process::exit(offload_cli::offload(&args[1..]));
-    }
-    if cmd == "sample" {
-        std::process::exit(sample_cli::sample(&args[1..]));
-    }
-    if cmd == "substrate" {
-        std::process::exit(substrate_cli::substrate(&args[1..]));
-    }
-
-    // The generic experiment path (mt, figures, tables) shares the
-    // `--seed`/`--json` plumbing with the subcommand CLIs; its scale
-    // flag is `--quick` rather than `--smoke`/`--full`.
-    let mut scale = Scale::full();
-    let mut index_keying = true;
-    let mut common = cli::CommonFlags::default();
-    let mut i = 1;
-    while i < args.len() {
-        let taken = cli::take_common(&args, &mut i, &cli::CommonSpec::SEED_JSON, &mut common)
-            .unwrap_or_else(|e| {
-                eprintln!("repro: {e}");
-                usage()
-            });
-        if !taken {
-            match args[i].as_str() {
-                "--quick" => scale = Scale::quick(),
-                "--no-index-opt" => index_keying = false,
-                "--calls" => {
-                    scale.calls = cli::value(&args, &mut i, "--calls")
-                        .and_then(|v| cli::int(v, "--calls"))
-                        .map(|n| n as usize)
-                        .unwrap_or_else(|_| usage());
-                }
-                "--trials" => {
-                    scale.trials = cli::value(&args, &mut i, "--trials")
-                        .and_then(|v| cli::int(v, "--trials"))
-                        .map(|n| n as usize)
-                        .unwrap_or_else(|_| usage());
-                }
-                _ => usage(),
-            }
-        }
-        i += 1;
-    }
-    if let Some(seed) = common.seed {
-        scale.seed = seed;
-    }
-    let json_path = common.json;
-
-    // Experiments with structured datasets compute the data once and
-    // derive both the text and (when `--json` is given) the JSON from it.
-    let mut datasets: Vec<(String, Json)> = Vec::new();
-    let mut run = |name: &str| -> Option<String> {
-        let (text, data) = match name {
-            "fig1" => (figures::fig1(scale), None),
-            "fig2" => (figures::fig2(scale), None),
-            "fig4" => (figures::fig4(scale), None),
-            "fig6" => (figures::fig6(scale), None),
-            "fig13" => {
-                let d = figures::improvement_data(scale, false);
-                (figures::render_fig13(&d), Some(d.to_json()))
-            }
-            "fig14" => {
-                let d = figures::improvement_data(scale, true);
-                (figures::render_fig14(&d), Some(d.to_json()))
-            }
-            "fig15" => (figures::fig15(scale), None),
-            "fig16" => (figures::fig16(scale), None),
-            "fig17" => {
-                let d = figures::fig17_data(scale, index_keying);
-                (figures::render_fig17(&d), Some(d.to_json()))
-            }
-            "fig18" => (figures::fig18(scale), None),
-            "table1" => (tables::table1(scale), None),
-            "table2" => {
-                let d = tables::table2_data(scale);
-                (
-                    tables::render_table2(&d, scale),
-                    Some(tables::table2_json(&d)),
-                )
-            }
-            "area" => (tables::area(), None),
-            "ablate" => (figures::ablation(scale), None),
-            "generality" => (figures::generality(scale), None),
-            "resilience" => (figures::resilience(scale), None),
-            "sized-delete" => (figures::sized_delete(scale), None),
-            "cpi" => (figures::cpi(scale), None),
-            "sensitivity" => (figures::sensitivity(scale), None),
-            "mt" => {
-                let d = mt::mt_data(scale);
-                (mt::render_mt(&d), Some(mt::mt_json(&d)))
-            }
-            _ => return None,
-        };
-        if let Some(data) = data {
-            datasets.push((name.to_string(), data));
-        }
-        Some(text)
-    };
-
-    match cmd.as_str() {
-        "all" => {
-            for name in [
-                "fig1",
-                "fig2",
-                "fig4",
-                "fig6",
-                "table1",
-                "fig13",
-                "fig14",
-                "fig15",
-                "fig16",
-                "fig17",
-                "fig18",
-                "table2",
-                "area",
-                "ablate",
-                "generality",
-                "resilience",
-                "sensitivity",
-                "sized-delete",
-                "cpi",
-                "mt",
-            ] {
-                println!("{}", run(name).expect("known experiment"));
-                println!();
-            }
-        }
-        other => match run(other) {
-            Some(s) => println!("{s}"),
-            None => usage(),
-        },
-    }
-
-    if let Some(path) = json_path {
-        let doc = Json::obj([
-            ("schema", "mallacc-repro/1".into()),
-            (
-                "scale",
-                Json::obj([
-                    ("calls", scale.calls.into()),
-                    ("warmup", scale.warmup.into()),
-                    ("trials", scale.trials.into()),
-                    ("seed", scale.seed.into()),
-                ]),
-            ),
-            ("experiments", Json::Obj(datasets.into_iter().collect())),
-        ]);
-        if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
-            eprintln!("repro: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
+    let outcome = cli::dispatch(&COMMANDS, &args);
+    print!("{}", outcome.stdout);
+    std::process::exit(outcome.code);
 }

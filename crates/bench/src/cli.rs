@@ -1,25 +1,141 @@
-//! Shared flag plumbing for the `repro` subcommands.
+//! The one report path shared by every `repro` subcommand.
 //!
-//! Every subcommand CLI (`explore`, `profile`, `validate`, `fleet`,
-//! `offload`, plus the generic experiment path serving `mt` and the
-//! figures/tables) accepts some subset of the same flags — `--smoke`,
-//! `--full`, `--seed N`, `--jobs N`, `--json PATH` — and before this
-//! module each carried its own copy of the cursor/value/integer
-//! boilerplate; they drifted in error wording and in which flags were
-//! recognised. The shared pieces live here:
+//! A subcommand (`explore`, `profile`, `validate`, `fleet`, `offload`,
+//! `sample`, `substrate`, and the paper's experiments) does two things:
+//! it parses its own flags with [`parse_flags`], and it returns one
+//! [`Report`] — or `Err` for bad input. [`run`] does everything else:
 //!
-//! * [`value`] / [`int`] — the flag-value cursor helpers;
-//! * [`CommonFlags`] + [`take_common`] — one-pass recognition of the
-//!   shared flags, gated per subcommand by a [`CommonSpec`] so a CLI
-//!   that never had `--full` or `--json` keeps rejecting them;
-//! * [`run_indexed`] — the strided-worker slot runner behind every
-//!   "byte-identical across `--jobs`" report.
+//! * prints the report text, writes its JSON documents and announces
+//!   each with a `wrote PATH` line;
+//! * exits 2 on bad input (message on stderr, nothing on stdout), 1 on a
+//!   failed verdict or a failed write, and 0 otherwise.
 //!
-//! The shared flags are *collected*, not applied: each CLI applies
-//! `scale` first and explicit overrides after, so `--smoke --fuzz 7`
-//! and `--fuzz 7 --smoke` both mean "smoke scale, but 7 fuzz slots".
+//! [`parse_flags`] recognises the shared flags — `--smoke`, `--full`,
+//! `--seed N`, `--jobs N`, `--json PATH` — gated per subcommand by a
+//! [`CommonSpec`], and hands every other flag to the subcommand's own
+//! matcher. The shared flags are *collected*, not applied: each
+//! subcommand applies `scale` first and explicit overrides after, so
+//! `--smoke --fuzz 7` and `--fuzz 7 --smoke` both mean "smoke scale, but
+//! 7 fuzz slots".
+//!
+//! [`run_indexed`] is the strided-worker slot runner behind every
+//! "byte-identical across `--jobs`" report.
 
 use std::path::PathBuf;
+
+use mallacc_stats::Json;
+
+/// What one subcommand produced.
+#[derive(Debug)]
+pub struct Report {
+    /// The report text; `repro` prints it followed by a newline.
+    pub text: String,
+    /// JSON documents to write, in order, each to its path.
+    pub json: Vec<(PathBuf, Json)>,
+    /// The verdict: `false` exits 1.
+    pub pass: bool,
+}
+
+impl Report {
+    /// A passing report of `text` that writes nothing.
+    pub fn new(text: String) -> Self {
+        Self {
+            text,
+            json: Vec::new(),
+            pass: true,
+        }
+    }
+}
+
+/// One `repro` subcommand.
+#[derive(Debug, Clone, Copy)]
+pub struct Command {
+    /// The word that selects it; [`EXPERIMENT`] for the paper's
+    /// experiments, which take every other word.
+    pub name: &'static str,
+    /// Its flags, as the usage text shows them.
+    pub usage: &'static str,
+    /// Parses the flags after the name and computes the report.
+    pub run: fn(&[String]) -> Result<Report, String>,
+}
+
+/// The name of the command that runs the paper's experiments. Any word
+/// no other command carries goes to it, as its first argument.
+pub const EXPERIMENT: &str = "<experiment>";
+
+/// What one `repro` invocation printed to stdout, and its exit code.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The process exit code.
+    pub code: i32,
+    /// Everything printed to stdout.
+    pub stdout: String,
+}
+
+impl Outcome {
+    fn bad_input() -> Self {
+        Self {
+            code: 2,
+            stdout: String::new(),
+        }
+    }
+}
+
+/// The usage text of `commands`, one line per command.
+pub fn usage(commands: &[Command]) -> String {
+    let lines: Vec<String> = commands
+        .iter()
+        .map(|c| format!("repro {} {}", c.name, c.usage))
+        .collect();
+    format!("usage: {}", lines.join("\n       "))
+}
+
+/// Runs the command `args` names: `args[0]` selects it from `commands`
+/// and the rest are its flags. A word no command carries goes, with its
+/// flags, to the [`EXPERIMENT`] command. No arguments print the usage and
+/// exit 2.
+pub fn dispatch(commands: &[Command], args: &[String]) -> Outcome {
+    let Some(word) = args.first() else {
+        eprintln!("{}", usage(commands));
+        return Outcome::bad_input();
+    };
+    let (cmd, args) = match commands.iter().find(|c| c.name == word) {
+        Some(cmd) => (cmd, &args[1..]),
+        None => {
+            let experiments = commands.iter().find(|c| c.name == EXPERIMENT);
+            (experiments.expect("an experiment command"), args)
+        }
+    };
+    run(cmd, args)
+}
+
+/// Runs `cmd` on its flags `args`: computes the report, writes its JSON
+/// documents, and returns what `repro` prints and exits with.
+pub fn run(cmd: &Command, args: &[String]) -> Outcome {
+    let report = match (cmd.run)(args) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!(
+                "repro {}: {e}\nusage: repro {} {}",
+                cmd.name, cmd.name, cmd.usage
+            );
+            return Outcome::bad_input();
+        }
+    };
+    let mut out = Outcome {
+        code: if report.pass { 0 } else { 1 },
+        stdout: format!("{}\n", report.text),
+    };
+    for (path, doc) in &report.json {
+        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
+            eprintln!("repro {}: writing {}: {e}", cmd.name, path.display());
+            out.code = 1;
+            break;
+        }
+        out.stdout.push_str(&format!("wrote {}\n", path.display()));
+    }
+    out
+}
 
 /// The run scale selected by `--smoke`/`--full` (whichever came last).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +147,7 @@ pub enum ScaleFlag {
 }
 
 /// Values of the shared subcommand flags, as collected by
-/// [`take_common`]. `None` means the flag did not appear.
+/// [`parse_flags`]. `None` means the flag did not appear.
 #[derive(Debug, Clone, Default)]
 pub struct CommonFlags {
     /// `--smoke`/`--full`.
@@ -44,9 +160,9 @@ pub struct CommonFlags {
     pub json: Option<PathBuf>,
 }
 
-/// Which shared flags a subcommand accepts. Disabled flags fall through
-/// [`take_common`] to the subcommand's own matcher, which rejects them
-/// as unknown — preserving each CLI's historical surface.
+/// Which shared flags a subcommand accepts beyond `--json`, which every
+/// subcommand accepts. Disabled flags fall through to the subcommand's
+/// own matcher, which rejects them as unknown.
 #[derive(Debug, Clone, Copy)]
 pub struct CommonSpec {
     /// Accept `--smoke`.
@@ -57,84 +173,91 @@ pub struct CommonSpec {
     pub seed: bool,
     /// Accept `--jobs`.
     pub jobs: bool,
-    /// Accept `--json`.
-    pub json: bool,
 }
 
 impl CommonSpec {
-    /// Every shared flag enabled (`validate`, `fleet`, `offload`).
+    /// Every shared flag enabled (`validate`, `fleet`, `offload`,
+    /// `sample`, `substrate`).
     pub const ALL: CommonSpec = CommonSpec {
         smoke: true,
         full: true,
         seed: true,
         jobs: true,
-        json: true,
     };
 
     /// Everything but `--full` (`profile`, whose second scale is
-    /// `--quick`).
+    /// `--quick`, and `explore`, whose scales are grid presets).
     pub const NO_FULL: CommonSpec = CommonSpec {
         full: false,
         ..CommonSpec::ALL
     };
 
-    /// Only `--smoke`, `--seed` and `--jobs` (`explore`, whose output
-    /// file is `--out` and whose scales are grid presets).
-    pub const SMOKE_SEED_JOBS: CommonSpec = CommonSpec {
-        smoke: true,
-        full: false,
-        seed: true,
-        jobs: true,
-        json: false,
-    };
-
-    /// Only `--seed` and `--json` (the generic experiment path in the
-    /// `repro` binary — `mt`, the figures and the tables — whose scale
-    /// flag is `--quick` and which runs serially, so no `--jobs`).
-    pub const SEED_JSON: CommonSpec = CommonSpec {
+    /// Only `--seed` (the paper's experiments — `mt`, the figures and the
+    /// tables — whose scale flag is `--quick` and which run serially, so
+    /// no `--jobs`).
+    pub const SEED: CommonSpec = CommonSpec {
         smoke: false,
         full: false,
         seed: true,
         jobs: false,
-        json: true,
     };
 }
 
-/// Fetches the value of the flag at `args[*i]`, advancing the cursor
-/// past it.
-pub fn value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
+/// A cursor over one subcommand's flags, handed to its flag matcher.
+#[derive(Debug)]
+pub struct Flags<'a> {
+    args: &'a [String],
+    i: usize,
 }
 
-/// Parses an integer flag value.
-pub fn int(v: String, flag: &str) -> Result<u64, String> {
-    v.parse::<u64>()
-        .map_err(|_| format!("{flag} needs an integer"))
-}
-
-/// If `args[*i]` is a shared flag `spec` enables, consumes it (and its
-/// value) into `flags` and returns `true`; otherwise leaves the cursor
-/// untouched and returns `false` so the caller's matcher runs.
-pub fn take_common(
-    args: &[String],
-    i: &mut usize,
-    spec: &CommonSpec,
-    flags: &mut CommonFlags,
-) -> Result<bool, String> {
-    match args[*i].as_str() {
-        "--smoke" if spec.smoke => flags.scale = Some(ScaleFlag::Smoke),
-        "--full" if spec.full => flags.scale = Some(ScaleFlag::Full),
-        "--seed" if spec.seed => flags.seed = Some(int(value(args, i, "--seed")?, "--seed")?),
-        "--jobs" if spec.jobs => {
-            flags.jobs = Some(int(value(args, i, "--jobs")?, "--jobs")? as usize);
-        }
-        "--json" if spec.json => flags.json = Some(PathBuf::from(value(args, i, "--json")?)),
-        _ => return Ok(false),
+impl Flags<'_> {
+    /// The value of the current flag `flag`, advancing the cursor past it.
+    pub fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.i += 1;
+        self.args
+            .get(self.i)
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))
     }
-    Ok(true)
+
+    /// The integer value of the current flag `flag`.
+    pub fn int(&mut self, flag: &str) -> Result<u64, String> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| format!("{flag} needs an integer"))
+    }
+}
+
+/// Parses the flags of subcommand `sub`. The shared flags `spec` enables
+/// (and `--json`) are collected into the returned [`CommonFlags`]; every
+/// other flag goes to `own`, which consumes it and its value through the
+/// [`Flags`] cursor and returns `Ok(true)`, or returns `Ok(false)` for a
+/// flag it does not know.
+pub fn parse_flags(
+    args: &[String],
+    sub: &str,
+    spec: CommonSpec,
+    mut own: impl FnMut(&str, &mut Flags<'_>) -> Result<bool, String>,
+) -> Result<CommonFlags, String> {
+    let mut common = CommonFlags::default();
+    let mut cursor = Flags { args, i: 0 };
+    while cursor.i < args.len() {
+        let flag = args[cursor.i].as_str();
+        match flag {
+            "--smoke" if spec.smoke => common.scale = Some(ScaleFlag::Smoke),
+            "--full" if spec.full => common.scale = Some(ScaleFlag::Full),
+            "--seed" if spec.seed => common.seed = Some(cursor.int(flag)?),
+            "--jobs" if spec.jobs => common.jobs = Some(cursor.int(flag)? as usize),
+            "--json" => common.json = Some(PathBuf::from(cursor.value(flag)?)),
+            _ => {
+                if !own(flag, &mut cursor)? {
+                    return Err(format!("unknown {sub} flag {flag:?}"));
+                }
+            }
+        }
+        cursor.i += 1;
+    }
+    Ok(common)
 }
 
 /// Runs `total` independent slots, optionally across `jobs` workers, and
@@ -186,54 +309,56 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    /// Parses `args` with a matcher that knows only `--n N`.
+    fn parse(args: &[&str], spec: CommonSpec) -> Result<(CommonFlags, Option<u64>), String> {
+        let mut n = None;
+        let common = parse_flags(&s(args), "test", spec, |flag, f| {
+            match flag {
+                "--n" => n = Some(f.int(flag)?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        Ok((common, n))
+    }
+
     #[test]
     fn common_flags_are_collected_and_gated() {
-        let args = s(&[
-            "--smoke", "--seed", "7", "--jobs", "4", "--json", "out.json",
-        ]);
-        let mut flags = CommonFlags::default();
-        let mut i = 0;
-        while i < args.len() {
-            assert!(take_common(&args, &mut i, &CommonSpec::ALL, &mut flags).unwrap());
-            i += 1;
-        }
+        let (flags, n) = parse(
+            &[
+                "--smoke", "--seed", "7", "--n", "3", "--jobs", "4", "--json", "out.json",
+            ],
+            CommonSpec::ALL,
+        )
+        .unwrap();
         assert_eq!(flags.scale, Some(ScaleFlag::Smoke));
         assert_eq!(flags.seed, Some(7));
         assert_eq!(flags.jobs, Some(4));
+        assert_eq!(n, Some(3));
         assert_eq!(
             flags.json.as_deref().and_then(|p| p.to_str()),
             Some("out.json")
         );
 
-        // A disabled flag falls through to the caller untouched.
-        let args = s(&["--json", "out.json"]);
-        let mut i = 0;
-        let taken = take_common(&args, &mut i, &CommonSpec::SMOKE_SEED_JOBS, &mut flags).unwrap();
-        assert!(!taken);
-        assert_eq!(i, 0, "cursor must not move on fall-through");
+        // A disabled flag falls through to the matcher, which rejects it.
+        let err = parse(&["--jobs", "2"], CommonSpec::SEED).unwrap_err();
+        assert_eq!(err, "unknown test flag \"--jobs\"");
     }
 
     #[test]
     fn last_scale_flag_wins() {
-        let args = s(&["--smoke", "--full"]);
-        let mut flags = CommonFlags::default();
-        let mut i = 0;
-        while i < args.len() {
-            assert!(take_common(&args, &mut i, &CommonSpec::ALL, &mut flags).unwrap());
-            i += 1;
-        }
+        let (flags, _) = parse(&["--smoke", "--full"], CommonSpec::ALL).unwrap();
         assert_eq!(flags.scale, Some(ScaleFlag::Full));
     }
 
     #[test]
     fn missing_values_error_with_the_flag_name() {
-        let args = s(&["--seed"]);
-        let mut flags = CommonFlags::default();
-        let mut i = 0;
-        let err = take_common(&args, &mut i, &CommonSpec::ALL, &mut flags).unwrap_err();
-        assert!(err.contains("--seed"), "{err}");
         assert_eq!(
-            int("x".to_string(), "--n").unwrap_err(),
+            parse(&["--seed"], CommonSpec::ALL).unwrap_err(),
+            "--seed needs a value"
+        );
+        assert_eq!(
+            parse(&["--n", "x"], CommonSpec::ALL).unwrap_err(),
             "--n needs an integer"
         );
     }

@@ -1,15 +1,9 @@
 //! The `repro explore` subcommand: design-space sweeps over the
 //! accelerator configuration, driven by `mallacc-explore`.
-//!
-//! ```text
-//! repro explore [--smoke] [--grid SPEC] [--preset NAME] [--quick]
-//!               [--seed N] [--jobs N] [--memo PATH] [--out PATH]
-//!               [--assert-memo-frac F]
-//! ```
 
 use std::path::PathBuf;
 
-use crate::cli::{self, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, CommonSpec, Report, ScaleFlag};
 use mallacc_explore::{run_sweep, ParamGrid, RunScale, SweepOptions};
 
 /// Parsed `repro explore` arguments.
@@ -22,7 +16,7 @@ pub struct ExploreArgs {
     /// Memo-store file.
     pub memo: Option<PathBuf>,
     /// JSON report output file.
-    pub out: Option<PathBuf>,
+    pub json: Option<PathBuf>,
     /// Fail unless at least this fraction of points came from the memo
     /// store (the CI warm-cache assertion).
     pub assert_memo_frac: Option<f64>,
@@ -30,41 +24,31 @@ pub struct ExploreArgs {
 
 impl ExploreArgs {
     /// Parses the argument list after `explore`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so an
+    /// collected by [`cli::parse_flags`] and applied last, so an
     /// explicit `--grid`/`--preset` wins over `--smoke` regardless of
     /// flag order.
     pub fn parse(args: &[String]) -> Result<ExploreArgs, String> {
-        let mut parsed = ExploreArgs {
-            grid: ParamGrid::default(),
-            ..ExploreArgs::default()
-        };
-        let mut common = CommonFlags::default();
+        let mut parsed = ExploreArgs::default();
         let mut quick = false;
         let mut grid_spec: Option<String> = None;
         let mut preset: Option<String> = None;
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::SMOKE_SEED_JOBS, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
-                "--grid" => grid_spec = Some(cli::value(args, &mut i, "--grid")?),
-                "--preset" => preset = Some(cli::value(args, &mut i, "--preset")?),
+        let common = cli::parse_flags(args, "explore", CommonSpec::NO_FULL, |flag, f| {
+            match flag {
+                "--grid" => grid_spec = Some(f.value(flag)?),
+                "--preset" => preset = Some(f.value(flag)?),
                 "--quick" => quick = true,
-                "--memo" => parsed.memo = Some(PathBuf::from(cli::value(args, &mut i, "--memo")?)),
-                "--out" => parsed.out = Some(PathBuf::from(cli::value(args, &mut i, "--out")?)),
+                "--memo" => parsed.memo = Some(PathBuf::from(f.value(flag)?)),
                 "--assert-memo-frac" => {
                     parsed.assert_memo_frac = Some(
-                        cli::value(args, &mut i, "--assert-memo-frac")?
+                        f.value(flag)?
                             .parse::<f64>()
                             .map_err(|_| "--assert-memo-frac needs a number".to_string())?,
                     );
                 }
-                other => return Err(format!("unknown explore flag {other:?}")),
+                _ => return Ok(false),
             }
-            i += 1;
-        }
+            Ok(true)
+        })?;
         if common.scale == Some(ScaleFlag::Smoke) {
             parsed.grid = ParamGrid::smoke();
         }
@@ -80,53 +64,36 @@ impl ExploreArgs {
         if quick {
             parsed.grid.scale = RunScale::quick();
         }
-        if let Some(seed) = common.seed {
-            parsed.grid.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
+        parsed.grid.seed = common.seed.unwrap_or(parsed.grid.seed);
+        parsed.jobs = common.jobs.unwrap_or(parsed.jobs);
+        parsed.json = common.json;
         Ok(parsed)
     }
 }
 
-/// Runs `repro explore`; returns the process exit code.
-pub fn explore(args: &[String]) -> i32 {
-    let parsed = match ExploreArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro explore: {e}");
-            return 2;
-        }
-    };
+/// Runs the sweep. A grid naming unknown workloads or an unreadable memo
+/// store is bad input; a memo hit fraction below `--assert-memo-frac`
+/// fails the verdict.
+pub fn explore_report(args: &ExploreArgs) -> Result<Report, String> {
     let opts = SweepOptions {
-        jobs: parsed.jobs,
-        memo_path: parsed.memo.clone(),
+        jobs: args.jobs,
+        memo_path: args.memo.clone(),
     };
-    let report = match run_sweep(&parsed.grid, &opts) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("repro explore: {e}");
-            return 2;
-        }
-    };
-    print!("{}", report.render());
-    if let Some(out) = &parsed.out {
-        if let Err(e) = std::fs::write(out, report.to_json().render_pretty()) {
-            eprintln!("repro explore: writing {}: {e}", out.display());
-            return 1;
-        }
-        println!("wrote {}", out.display());
+    let sweep = run_sweep(&args.grid, &opts)?;
+    let rendered = sweep.render();
+    let mut report = Report::new(rendered.strip_suffix('\n').unwrap_or(&rendered).to_string());
+    if let Some(frac) = args.assert_memo_frac {
+        let got = sweep.memo_hit_fraction();
+        report.pass = got >= frac;
+        let verdict = if report.pass { "≥" } else { "below" };
+        report.text.push_str(&format!(
+            "\nmemo hit fraction {got:.2} {verdict} required {frac:.2}"
+        ));
     }
-    if let Some(frac) = parsed.assert_memo_frac {
-        let got = report.memo_hit_fraction();
-        if got < frac {
-            eprintln!("repro explore: memo hit fraction {got:.2} below required {frac:.2}");
-            return 1;
-        }
-        println!("memo hit fraction {got:.2} ≥ required {frac:.2}");
+    if let Some(path) = &args.json {
+        report.json.push((path.clone(), sweep.to_json()));
     }
-    0
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -163,23 +130,16 @@ mod tests {
     }
 
     #[test]
-    fn explore_smoke_runs_end_to_end() {
-        let dir = std::env::temp_dir().join(format!("repro-explore-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("report.json");
-        let code = explore(&s(&[
-            "--grid",
-            "entries=4",
-            "--quick",
-            "--out",
-            out.to_str().unwrap(),
-        ]));
-        assert_eq!(code, 0);
-        let doc = mallacc_stats::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    fn explore_report_carries_the_sweep_json() {
+        let a = ExploreArgs::parse(&s(&["--grid", "entries=4", "--quick", "--json", "r.json"]))
+            .unwrap();
+        let report = explore_report(&a).unwrap();
+        assert!(report.pass);
+        let (path, doc) = &report.json[0];
+        assert_eq!(path.to_str(), Some("r.json"));
         assert_eq!(
             doc.get("schema").and_then(mallacc_stats::Json::as_str),
             Some("mallacc-explore-sweep/1")
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,6 @@
 //! The `repro fleet` subcommand: datacenter fleet scenarios, driven by
 //! `mallacc-fleet`.
 //!
-//! ```text
-//! repro fleet [--smoke] [--full] [--cores A,B,...] [--scenario NAME]...
-//!             [--requests N] [--weak-requests N] [--seed N] [--jobs N]
-//!             [--json PATH]
-//! ```
-//!
 //! Runs request-driven service-traffic scenarios on the multi-core
 //! simulator and reports, per scenario, strong/weak scaling curves and
 //! per-malloc tail latency (p50/p99/p999 cycles) for baseline vs. Mallacc,
@@ -19,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, CommonSpec, Report, ScaleFlag};
 use mallacc::SimMode;
 use mallacc_fleet::{json_doc, render_report, run_fleet, FleetConfig, Scenario};
 
@@ -65,22 +59,16 @@ impl Default for FleetArgs {
 
 impl FleetArgs {
     /// Parses the argument list after `fleet`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
+    /// collected by [`cli::parse_flags`] and applied last, so
     /// explicit request volumes win over `--smoke`/`--full` regardless
     /// of flag order.
     pub fn parse(args: &[String]) -> Result<FleetArgs, String> {
         let mut parsed = FleetArgs::default();
-        let mut common = CommonFlags::default();
         let (mut strong, mut weak) = (None, None);
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
+        let common = cli::parse_flags(args, "fleet", CommonSpec::ALL, |flag, f| {
+            match flag {
                 "--cores" => {
-                    let spec = cli::value(args, &mut i, "--cores")?;
+                    let spec = f.value(flag)?;
                     let mut cores = Vec::new();
                     for part in spec.split(',') {
                         let c: usize = part
@@ -100,34 +88,16 @@ impl FleetArgs {
                     }
                     parsed.cores = Some(cores);
                 }
-                "--scenario" => parsed
-                    .scenarios
-                    .push(cli::value(args, &mut i, "--scenario")?),
-                "--sim" => {
-                    parsed.sim = SimMode::parse(&cli::value(args, &mut i, "--sim")?)?;
-                }
-                "--requests" => {
-                    strong = Some(cli::int(
-                        cli::value(args, &mut i, "--requests")?,
-                        "--requests",
-                    )?);
-                }
-                "--weak-requests" => {
-                    weak = Some(cli::int(
-                        cli::value(args, &mut i, "--weak-requests")?,
-                        "--weak-requests",
-                    )?);
-                }
-                other => return Err(format!("unknown fleet flag {other:?}")),
+                "--scenario" => parsed.scenarios.push(f.value(flag)?),
+                "--sim" => parsed.sim = SimMode::parse(&f.value(flag)?)?,
+                "--requests" => strong = Some(f.int(flag)?),
+                "--weak-requests" => weak = Some(f.int(flag)?),
+                _ => return Ok(false),
             }
-            i += 1;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
+            Ok(true)
+        })?;
+        parsed.seed = common.seed.unwrap_or(parsed.seed);
+        parsed.jobs = common.jobs.unwrap_or(parsed.jobs);
         match common.scale {
             Some(ScaleFlag::Smoke) => {
                 let smoke = FleetConfig::smoke(parsed.seed, parsed.jobs);
@@ -143,12 +113,8 @@ impl FleetArgs {
             }
             None => {}
         }
-        if let Some(v) = strong {
-            parsed.strong_requests = v;
-        }
-        if let Some(v) = weak {
-            parsed.weak_requests_per_core = v;
-        }
+        parsed.strong_requests = strong.unwrap_or(parsed.strong_requests);
+        parsed.weak_requests_per_core = weak.unwrap_or(parsed.weak_requests_per_core);
         parsed.json = common.json;
         if parsed.strong_requests == 0 || parsed.weak_requests_per_core == 0 {
             return Err("request volumes must be at least 1".to_string());
@@ -191,37 +157,14 @@ impl FleetArgs {
     }
 }
 
-/// Runs `repro fleet` and returns `(exit code, report text)`. Split from
-/// [`fleet`] so tests and the golden snapshot can capture the output.
-pub fn fleet_report(args: &FleetArgs) -> (i32, String) {
-    let config = match args.config() {
-        Ok(config) => config,
-        Err(e) => return (2, format!("repro fleet: {e}")),
-    };
-    let result = run_fleet(&config);
-    let mut out = render_report(&result);
+/// Runs `repro fleet`. An unknown scenario name is bad input.
+pub fn fleet_report(args: &FleetArgs) -> Result<Report, String> {
+    let result = run_fleet(&args.config()?);
+    let mut report = Report::new(render_report(&result));
     if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, json_doc(&result).render_pretty()) {
-            eprintln!("repro fleet: writing {}: {e}", path.display());
-            return (1, out);
-        }
-        out.push_str(&format!("\nwrote {}", path.display()));
+        report.json.push((path.clone(), json_doc(&result)));
     }
-    (0, out)
-}
-
-/// Runs `repro fleet`; returns the process exit code.
-pub fn fleet(args: &[String]) -> i32 {
-    let parsed = match FleetArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro fleet: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = fleet_report(&parsed);
-    println!("{text}");
-    code
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -280,16 +223,14 @@ mod tests {
             scenarios: vec!["no-such".to_string()],
             ..tiny()
         };
-        let (code, text) = fleet_report(&a);
-        assert_eq!(code, 2);
-        assert!(text.contains("unknown scenario"), "{text}");
-        assert!(text.contains("rpc-fanout"), "{text}");
+        let err = fleet_report(&a).unwrap_err();
+        assert!(err.contains("unknown scenario"), "{err}");
+        assert!(err.contains("rpc-fanout"), "{err}");
     }
 
     #[test]
     fn report_names_the_load_bearing_sections() {
-        let (code, text) = fleet_report(&tiny());
-        assert_eq!(code, 0, "{text}");
+        let text = fleet_report(&tiny()).unwrap().text;
         for needle in [
             "fleet report",
             "strong scaling",
@@ -305,27 +246,21 @@ mod tests {
     fn report_is_identical_across_jobs() {
         let mut a = tiny();
         a.jobs = 1;
-        let (c1, seq) = fleet_report(&a);
+        let seq = fleet_report(&a).unwrap().text;
         a.jobs = 4;
-        let (c2, par) = fleet_report(&a);
-        assert_eq!((c1, c2), (0, 0));
+        let par = fleet_report(&a).unwrap().text;
         assert_eq!(seq, par, "--jobs must not change a single byte");
     }
 
     #[test]
-    fn json_export_parses_and_carries_cells() {
+    fn json_export_carries_cells() {
         use mallacc_stats::Json;
-        let dir = std::env::temp_dir().join(format!("repro-fleet-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let a = FleetArgs {
-            json: Some(dir.join("fleet.json")),
+            json: Some("fleet.json".into()),
             ..tiny()
         };
-        let (code, _) = fleet_report(&a);
-        assert_eq!(code, 0);
-        let data =
-            mallacc_stats::json::parse(&std::fs::read_to_string(dir.join("fleet.json")).unwrap())
-                .unwrap();
+        let report = fleet_report(&a).unwrap();
+        let data = &report.json[0].1;
         assert_eq!(
             data.get("schema").and_then(Json::as_str),
             Some("mallacc-fleet/1")
@@ -334,6 +269,5 @@ mod tests {
             data.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
             Some(4)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,13 +1,6 @@
 //! The `repro offload` subcommand: the SpeedMalloc-style allocation
 //! offload helper core vs. Mallacc, head to head.
 //!
-//! ```text
-//! repro offload [--smoke] [--full] [--substrate NAME] [--workload NAME]...
-//!               [--scenario NAME]... [--depths A,B,...] [--cores A,B,...]
-//!               [--calls N] [--warmup N] [--requests N] [--seed N]
-//!               [--jobs N] [--sim full|sampled[:W:D:P[:S]]] [--json PATH]
-//! ```
-//!
 //! `--substrate` picks the allocator every section runs on (tcmalloc,
 //! jemalloc, rpmalloc, or the per-CPU tcmalloc variant); the default is
 //! tcmalloc, the paper's target.
@@ -32,7 +25,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, CommonSpec, Report, ScaleFlag};
 use mallacc::{offload_area_um2, AreaEstimate, Mode, OffloadConfig, SimMode};
 use mallacc_explore::run_multicore;
 use mallacc_stats::table::Table;
@@ -118,18 +111,16 @@ impl OffloadArgs {
     }
 
     /// Parses the argument list after `offload`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
+    /// collected by [`cli::parse_flags`] and applied last, so
     /// explicit lists win over `--smoke`/`--full` regardless of flag
     /// order.
     pub fn parse(args: &[String]) -> Result<OffloadArgs, String> {
-        let mut common = CommonFlags::default();
         let mut substrate = None;
         let mut workloads = Vec::new();
         let mut scenarios = Vec::new();
         let (mut depths, mut cores) = (None, None);
         let (mut calls, mut warmup, mut requests) = (None, None, None);
         let mut sim = None;
-        let mut i = 0;
         let list = |spec: String, flag: &str, max: usize| -> Result<Vec<usize>, String> {
             let mut out = Vec::new();
             for part in spec.split(',') {
@@ -147,86 +138,47 @@ impl OffloadArgs {
             }
             Ok(out)
         };
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
+        let common = cli::parse_flags(args, "offload", CommonSpec::ALL, |flag, f| {
+            match flag {
                 "--substrate" => {
-                    let name = cli::value(args, &mut i, "--substrate")?;
+                    let name = f.value(flag)?;
                     substrate = Some(SubstrateKind::by_name(&name).ok_or_else(|| {
                         format!(
                             "unknown substrate {name:?} (use tcmalloc/jemalloc/rpmalloc/percpu)"
                         )
                     })?);
                 }
-                "--workload" => workloads.push(cli::value(args, &mut i, "--workload")?),
-                "--scenario" => scenarios.push(cli::value(args, &mut i, "--scenario")?),
-                "--depths" => {
-                    depths = Some(list(cli::value(args, &mut i, "--depths")?, "--depths", 64)?);
-                }
-                "--cores" => {
-                    cores = Some(list(cli::value(args, &mut i, "--cores")?, "--cores", 64)?);
-                }
-                "--calls" => {
-                    calls =
-                        Some(cli::int(cli::value(args, &mut i, "--calls")?, "--calls")? as usize);
-                }
-                "--warmup" => {
-                    warmup =
-                        Some(cli::int(cli::value(args, &mut i, "--warmup")?, "--warmup")? as usize);
-                }
-                "--requests" => {
-                    requests = Some(cli::int(
-                        cli::value(args, &mut i, "--requests")?,
-                        "--requests",
-                    )?);
-                }
-                "--sim" => {
-                    sim = Some(SimMode::parse(&cli::value(args, &mut i, "--sim")?)?);
-                }
-                other => return Err(format!("unknown offload flag {other:?}")),
+                "--workload" => workloads.push(f.value(flag)?),
+                "--scenario" => scenarios.push(f.value(flag)?),
+                "--depths" => depths = Some(list(f.value(flag)?, flag, 64)?),
+                "--cores" => cores = Some(list(f.value(flag)?, flag, 64)?),
+                "--calls" => calls = Some(f.int(flag)? as usize),
+                "--warmup" => warmup = Some(f.int(flag)? as usize),
+                "--requests" => requests = Some(f.int(flag)?),
+                "--sim" => sim = Some(SimMode::parse(&f.value(flag)?)?),
+                _ => return Ok(false),
             }
-            i += 1;
-        }
+            Ok(true)
+        })?;
         let mut parsed = match common.scale {
             Some(ScaleFlag::Full) => OffloadArgs::full(),
             _ => OffloadArgs::default(),
         };
-        if let Some(v) = substrate {
-            parsed.substrate = v;
-        }
+        parsed.substrate = substrate.unwrap_or(parsed.substrate);
         if !workloads.is_empty() {
             parsed.workloads = workloads;
         }
         if !scenarios.is_empty() {
             parsed.scenarios = scenarios;
         }
-        if let Some(v) = depths {
-            parsed.depths = v;
-        }
-        if let Some(v) = cores {
-            parsed.cores = v;
-        }
-        if let Some(v) = calls {
-            parsed.calls = v;
-        }
-        if let Some(v) = warmup {
-            parsed.warmup = v;
-        }
-        if let Some(v) = requests {
-            parsed.requests = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
-        if let Some(sim) = sim {
-            parsed.sim = sim;
-        }
+        parsed.depths = depths.unwrap_or(parsed.depths);
+        parsed.cores = cores.unwrap_or(parsed.cores);
+        parsed.calls = calls.unwrap_or(parsed.calls);
+        parsed.warmup = warmup.unwrap_or(parsed.warmup);
+        parsed.requests = requests.unwrap_or(parsed.requests);
+        parsed.seed = common.seed.unwrap_or(parsed.seed);
+        parsed.jobs = common.jobs.unwrap_or(parsed.jobs);
+        parsed.sim = sim.unwrap_or(parsed.sim);
         parsed.json = common.json;
         if parsed.calls == 0 || parsed.requests == 0 {
             return Err("--calls and --requests must be at least 1".to_string());
@@ -534,10 +486,8 @@ fn pareto_section(rows: &[HeadToHead]) -> (String, Json) {
     (text, Json::obj([("designs", Json::Arr(json_rows))]))
 }
 
-/// Runs `repro offload` and returns `(exit code, report text)`. Split
-/// from [`offload`] so tests and the golden snapshot can capture the
-/// output.
-pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
+/// Runs `repro offload`.
+pub fn offload_report(args: &OffloadArgs) -> Report {
     let mut out = format!(
         "repro offload: substrate {}, {} workloads x 4 variants, calls {}, requests {}, seed {}\n\n",
         args.substrate.name(),
@@ -558,6 +508,7 @@ pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
     out.push('\n');
     out.push_str(&pareto_text);
 
+    let mut report = Report::new(out);
     if let Some(path) = &args.json {
         let doc = Json::obj([
             ("schema", Json::from("mallacc-offload/1")),
@@ -576,27 +527,9 @@ pub fn offload_report(args: &OffloadArgs) -> (i32, String) {
             ("fleet", fleet_json),
             ("pareto", pareto_json),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro offload: writing {}: {e}", path.display());
-            return (1, out);
-        }
-        out.push_str(&format!("\nwrote {}", path.display()));
+        report.json.push((path.clone(), doc));
     }
-    (0, out)
-}
-
-/// Runs `repro offload`; returns the process exit code.
-pub fn offload(args: &[String]) -> i32 {
-    let parsed = match OffloadArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro offload: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = offload_report(&parsed);
-    println!("{text}");
-    code
+    report
 }
 
 #[cfg(test)]
@@ -663,8 +596,7 @@ mod tests {
 
     #[test]
     fn report_names_the_load_bearing_sections() {
-        let (code, text) = offload_report(&tiny());
-        assert_eq!(code, 0, "{text}");
+        let text = offload_report(&tiny()).text;
         for needle in [
             "single-core head-to-head",
             "queue-depth sweep",
@@ -682,17 +614,16 @@ mod tests {
         // microbenchmark saturates the offload queue (mallacc wins), the
         // compute-heavy macro workload hides the helper round-trip
         // (offload wins).
-        let (_, text) = offload_report(&tiny());
+        let text = offload_report(&tiny()).text;
         assert!(text.contains("offload wins 1/2"), "{text}");
     }
 
     #[test]
     fn report_is_identical_across_jobs() {
         let mut a = tiny();
-        let (c1, seq) = offload_report(&a);
+        let seq = offload_report(&a).text;
         a.jobs = 4;
-        let (c2, par) = offload_report(&a);
-        assert_eq!((c1, c2), (0, 0));
+        let par = offload_report(&a).text;
         assert_eq!(seq, par, "--jobs must not change a single byte");
     }
 
@@ -708,8 +639,7 @@ mod tests {
                 requests: 12,
                 ..tiny()
             };
-            let (code, text) = offload_report(&a);
-            assert_eq!(code, 0, "{kind:?}:\n{text}");
+            let text = offload_report(&a).text;
             assert!(
                 text.starts_with(&format!("repro offload: substrate {}", kind.name())),
                 "{kind:?} header:\n{text}"
@@ -719,18 +649,13 @@ mod tests {
     }
 
     #[test]
-    fn json_export_parses_and_carries_all_sections() {
-        let dir = std::env::temp_dir().join(format!("repro-offload-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn json_export_carries_all_sections() {
         let a = OffloadArgs {
-            json: Some(dir.join("offload.json")),
+            json: Some("offload.json".into()),
             ..tiny()
         };
-        let (code, _) = offload_report(&a);
-        assert_eq!(code, 0);
-        let data =
-            mallacc_stats::json::parse(&std::fs::read_to_string(dir.join("offload.json")).unwrap())
-                .unwrap();
+        let report = offload_report(&a);
+        let data = &report.json[0].1;
         assert_eq!(
             data.get("schema").and_then(Json::as_str),
             Some("mallacc-offload/1")
@@ -745,6 +670,5 @@ mod tests {
         for section in ["depth_sweep", "fleet", "pareto"] {
             assert!(data.get(section).is_some(), "missing {section}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,11 +1,6 @@
 //! The `repro profile` subcommand: per-operation cycle attribution for
 //! baseline vs. Mallacc configurations, driven by `mallacc-prof`.
 //!
-//! ```text
-//! repro profile [--smoke] [--quick] [--pairs N] [--warmup N] [--seed N]
-//!               [--jobs N] [--uops N] [--trace PATH] [--json PATH]
-//! ```
-//!
 //! Prints the paper's Figure 2-style breakdown — where the cycles of a
 //! warm fast-path malloc/free go — as stall-reason and allocator-component
 //! tables, one column set per configuration, plus the malloc-cache event
@@ -15,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, CommonSpec, Report, ScaleFlag};
 use mallacc::{Mode, StallReason};
 use mallacc_prof::chrome::{chrome_trace, validate_chrome_trace};
 use mallacc_prof::mt::profile_multicore;
@@ -66,43 +61,25 @@ impl Default for ProfileArgs {
 
 impl ProfileArgs {
     /// Parses the argument list after `profile`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
+    /// collected by [`cli::parse_flags`] and applied last, so
     /// explicit sizes win over `--smoke`/`--quick` regardless of flag
     /// order.
     pub fn parse(args: &[String]) -> Result<ProfileArgs, String> {
         let mut parsed = ProfileArgs::default();
-        let mut common = CommonFlags::default();
         let mut quick = false;
         let (mut pairs, mut warmup, mut mt_calls, mut uops) = (None, None, None, None);
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::NO_FULL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
+        let common = cli::parse_flags(args, "profile", CommonSpec::NO_FULL, |flag, f| {
+            match flag {
                 "--quick" => quick = true,
-                "--pairs" => {
-                    pairs = Some(cli::int(cli::value(args, &mut i, "--pairs")?, "--pairs")?)
-                }
-                "--warmup" => {
-                    warmup = Some(cli::int(cli::value(args, &mut i, "--warmup")?, "--warmup")?);
-                }
-                "--mt-calls" => {
-                    mt_calls = Some(
-                        cli::int(cli::value(args, &mut i, "--mt-calls")?, "--mt-calls")? as usize,
-                    );
-                }
-                "--uops" => {
-                    uops = Some(cli::int(cli::value(args, &mut i, "--uops")?, "--uops")? as usize);
-                }
-                "--trace" => {
-                    parsed.trace = Some(PathBuf::from(cli::value(args, &mut i, "--trace")?));
-                }
-                other => return Err(format!("unknown profile flag {other:?}")),
+                "--pairs" => pairs = Some(f.int(flag)?),
+                "--warmup" => warmup = Some(f.int(flag)?),
+                "--mt-calls" => mt_calls = Some(f.int(flag)? as usize),
+                "--uops" => uops = Some(f.int(flag)? as usize),
+                "--trace" => parsed.trace = Some(PathBuf::from(f.value(flag)?)),
+                _ => return Ok(false),
             }
-            i += 1;
-        }
+            Ok(true)
+        })?;
         if common.scale == Some(ScaleFlag::Smoke) {
             parsed.pairs = 200;
             parsed.warmup = 50;
@@ -114,24 +91,12 @@ impl ProfileArgs {
             parsed.warmup = 100;
             parsed.mt_calls = 100;
         }
-        if let Some(v) = pairs {
-            parsed.pairs = v;
-        }
-        if let Some(v) = warmup {
-            parsed.warmup = v;
-        }
-        if let Some(v) = mt_calls {
-            parsed.mt_calls = v;
-        }
-        if let Some(v) = uops {
-            parsed.uops = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
+        parsed.pairs = pairs.unwrap_or(parsed.pairs);
+        parsed.warmup = warmup.unwrap_or(parsed.warmup);
+        parsed.mt_calls = mt_calls.unwrap_or(parsed.mt_calls);
+        parsed.uops = uops.unwrap_or(parsed.uops);
+        parsed.seed = common.seed.unwrap_or(parsed.seed);
+        parsed.jobs = common.jobs.unwrap_or(parsed.jobs);
         parsed.json = common.json;
         if parsed.pairs == 0 {
             return Err("--pairs must be at least 1".to_string());
@@ -222,9 +187,9 @@ fn render_mt_section(args: &ProfileArgs) -> (String, Json) {
     (text, json)
 }
 
-/// Runs `repro profile` and returns `(exit code, report text)`. Split
-/// from [`profile`] so tests can capture the output.
-pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
+/// Runs `repro profile`. Any conservation violation, or a Chrome trace
+/// that fails its schema, fails the verdict and writes nothing.
+pub fn profile_report(args: &ProfileArgs) -> Report {
     let results = run_modes(args);
     let profiles: Vec<&ModeProfile> = results.iter().map(|(p, _)| p).collect();
     let profilers: Vec<&Profiler> = results.iter().map(|(_, p)| p.as_ref()).collect();
@@ -256,29 +221,30 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
     ));
     let (mt_text, mt_json) = render_mt_section(args);
     out.push_str(&mt_text);
+    let mut report = Report::new(out);
 
     for (p, profiler) in &results {
         if profiler.conservation_violations() > 0 {
-            eprintln!(
-                "repro profile: {} conservation violations in mode {}",
+            report.text.push_str(&format!(
+                "\n{} conservation violations in mode {}",
                 profiler.conservation_violations(),
                 p.label
-            );
-            return (1, out);
+            ));
+            report.pass = false;
+            return report;
         }
     }
 
     if let Some(path) = &args.trace {
         let doc = chrome_trace(&profilers, &labels);
         if let Err(e) = validate_chrome_trace(&doc) {
-            eprintln!("repro profile: emitted trace failed validation: {e}");
-            return (1, out);
+            report
+                .text
+                .push_str(&format!("\nemitted trace failed validation: {e}"));
+            report.pass = false;
+            return report;
         }
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro profile: writing {}: {e}", path.display());
-            return (1, out);
-        }
-        out.push_str(&format!("\nwrote {}", path.display()));
+        report.json.push((path.clone(), doc));
     }
     if let Some(path) = &args.json {
         let doc = Json::obj([
@@ -298,27 +264,9 @@ pub fn profile_report(args: &ProfileArgs) -> (i32, String) {
             ),
             ("mt", mt_json),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro profile: writing {}: {e}", path.display());
-            return (1, out);
-        }
-        out.push_str(&format!("\nwrote {}", path.display()));
+        report.json.push((path.clone(), doc));
     }
-    (0, out)
-}
-
-/// Runs `repro profile`; returns the process exit code.
-pub fn profile(args: &[String]) -> i32 {
-    let parsed = match ProfileArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro profile: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = profile_report(&parsed);
-    println!("{text}");
-    code
+    report
 }
 
 #[cfg(test)]
@@ -346,11 +294,11 @@ mod tests {
         a.pairs = 60;
         a.warmup = 20;
         a.mt_calls = 40;
-        let (c1, seq) = profile_report(&a);
+        let seq = profile_report(&a);
         a.jobs = 3;
-        let (c2, par) = profile_report(&a);
-        assert_eq!((c1, c2), (0, 0));
-        assert_eq!(seq, par, "--jobs must not change a single byte");
+        let par = profile_report(&a);
+        assert!(seq.pass && par.pass);
+        assert_eq!(seq.text, par.text, "--jobs must not change a single byte");
     }
 
     #[test]
@@ -361,8 +309,9 @@ mod tests {
             mt_calls: 40,
             ..ProfileArgs::default()
         };
-        let (code, text) = profile_report(&a);
-        assert_eq!(code, 0);
+        let report = profile_report(&a);
+        assert!(report.pass);
+        let text = report.text;
         assert!(text.contains("malloc_fast"), "{text}");
         assert!(text.contains("size_class"), "{text}");
         assert!(text.contains("list_op"), "{text}");
@@ -371,26 +320,25 @@ mod tests {
 
     #[test]
     fn trace_and_json_exports_validate_and_parse() {
-        let dir = std::env::temp_dir().join(format!("repro-profile-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let a = ProfileArgs {
             pairs: 40,
             warmup: 10,
             mt_calls: 30,
             uops: 32,
-            trace: Some(dir.join("trace.json")),
-            json: Some(dir.join("profile.json")),
+            trace: Some("trace.json".into()),
+            json: Some("profile.json".into()),
             ..ProfileArgs::default()
         };
-        let (code, _) = profile_report(&a);
-        assert_eq!(code, 0);
-        let trace =
-            mallacc_stats::json::parse(&std::fs::read_to_string(dir.join("trace.json")).unwrap())
-                .unwrap();
+        let report = profile_report(&a);
+        assert!(report.pass);
+        let [(trace_path, trace), (data_path, data)] = &report.json[..] else {
+            panic!("expected the trace and the dataset");
+        };
+        assert_eq!(trace_path.to_str(), Some("trace.json"));
+        assert_eq!(data_path.to_str(), Some("profile.json"));
+        // The export must survive a render/parse round trip.
+        let trace = mallacc_stats::json::parse(&trace.render_pretty()).unwrap();
         validate_chrome_trace(&trace).unwrap();
-        let data =
-            mallacc_stats::json::parse(&std::fs::read_to_string(dir.join("profile.json")).unwrap())
-                .unwrap();
         assert_eq!(
             data.get("schema").and_then(Json::as_str),
             Some("mallacc-profile/1")
@@ -399,6 +347,5 @@ mod tests {
             data.get("modes").and_then(Json::as_arr).map(<[Json]>::len),
             Some(3)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

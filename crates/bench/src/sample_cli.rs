@@ -1,11 +1,5 @@
 //! The `repro sample` subcommand: sampled-vs-full simulation error report.
 //!
-//! ```text
-//! repro sample [--smoke] [--full] [--substrate NAME] [--workload NAME]...
-//!              [--mallocs N] [--plan W:D:P[:S]] [--seed N] [--jobs N]
-//!              [--json PATH]
-//! ```
-//!
 //! `--substrate` picks the allocator under test (tcmalloc, jemalloc,
 //! rpmalloc, or the per-CPU tcmalloc variant); the sampled-execution
 //! fidelity contract must hold on every substrate's µop stream, not just
@@ -36,7 +30,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, CommonSpec, Report, ScaleFlag};
 use mallacc::{Mode, SamplingPlan};
 use mallacc_stats::table::Table;
 use mallacc_stats::{mean_ci95, tol, Json};
@@ -78,20 +72,14 @@ impl Default for SampleArgs {
 
 impl SampleArgs {
     /// Parses the argument list after `sample`. Shared flags are applied
-    /// after the loop, explicit overrides win regardless of flag order.
+    /// last, so explicit overrides win regardless of flag order.
     pub fn parse(args: &[String]) -> Result<SampleArgs, String> {
         let mut parsed = SampleArgs::default();
-        let mut common = CommonFlags::default();
         let mut mallocs = None;
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
+        let common = cli::parse_flags(args, "sample", CommonSpec::ALL, |flag, f| {
+            match flag {
                 "--substrate" => {
-                    let name = cli::value(args, &mut i, "--substrate")?;
+                    let name = f.value(flag)?;
                     parsed.substrate = SubstrateKind::by_name(&name).ok_or_else(|| {
                         format!(
                             "unknown substrate {name:?} (use tcmalloc/jemalloc/rpmalloc/percpu)"
@@ -99,38 +87,26 @@ impl SampleArgs {
                     })?;
                 }
                 "--workload" => {
-                    let name = cli::value(args, &mut i, "--workload")?;
+                    let name = f.value(flag)?;
                     if AnyWorkload::by_name(&name).is_none() {
                         return Err(format!("unknown workload {name:?}"));
                     }
                     parsed.workloads.push(name);
                 }
-                "--mallocs" => {
-                    mallocs = Some(
-                        cli::int(cli::value(args, &mut i, "--mallocs")?, "--mallocs")? as usize,
-                    );
-                }
-                "--plan" => {
-                    parsed.plan = SamplingPlan::parse(&cli::value(args, &mut i, "--plan")?)?;
-                }
-                other => return Err(format!("unknown sample flag {other:?}")),
+                "--mallocs" => mallocs = Some(f.int(flag)? as usize),
+                "--plan" => parsed.plan = SamplingPlan::parse(&f.value(flag)?)?,
+                _ => return Ok(false),
             }
-            i += 1;
-        }
+            Ok(true)
+        })?;
         match common.scale {
             Some(ScaleFlag::Smoke) => parsed.mallocs = 4_000,
             Some(ScaleFlag::Full) => parsed.mallocs = 30_000,
             None => {}
         }
-        if let Some(v) = mallocs {
-            parsed.mallocs = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
+        parsed.mallocs = mallocs.unwrap_or(parsed.mallocs);
+        parsed.seed = common.seed.unwrap_or(parsed.seed);
+        parsed.jobs = common.jobs.unwrap_or(parsed.jobs);
         parsed.json = common.json;
         if parsed.mallocs == 0 {
             return Err("--mallocs must be at least 1".to_string());
@@ -238,9 +214,9 @@ fn run_row(args: &SampleArgs, workload: &str, mode_ix: usize) -> Row {
     }
 }
 
-/// Runs `repro sample` and returns `(exit code, report text)`. Split from
-/// [`sample`] so tests can capture the output.
-pub fn sample_report(args: &SampleArgs) -> (i32, String) {
+/// Runs `repro sample`; a row outside both error bounds, or any
+/// functional mismatch, fails the verdict.
+pub fn sample_report(args: &SampleArgs) -> Report {
     let names = args.workload_names();
     let rows: Vec<Row> = run_indexed((names.len() * MODES.len()) as u64, args.jobs, |i| {
         let (wi, mi) = ((i as usize) / MODES.len(), (i as usize) % MODES.len());
@@ -312,6 +288,8 @@ pub fn sample_report(args: &SampleArgs) -> (i32, String) {
         if pass { "PASS" } else { "FAIL" }
     ));
 
+    let mut report = Report::new(out);
+    report.pass = pass;
     if let Some(path) = &args.json {
         let doc = Json::obj([
             ("schema", Json::from("mallacc-sample/1")),
@@ -335,27 +313,9 @@ pub fn sample_report(args: &SampleArgs) -> (i32, String) {
             ("max_abs_error_pct", Json::from(max_abs)),
             ("pass", Json::from(pass)),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro sample: writing {}: {e}", path.display());
-            return (1, out);
-        }
-        out.push_str(&format!("\nwrote {}", path.display()));
+        report.json.push((path.clone(), doc));
     }
-    (if pass { 0 } else { 1 }, out)
-}
-
-/// Runs `repro sample`; returns the process exit code.
-pub fn sample(args: &[String]) -> i32 {
-    let parsed = match SampleArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro sample: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = sample_report(&parsed);
-    println!("{text}");
-    code
+    report
 }
 
 #[cfg(test)]
@@ -404,8 +364,9 @@ mod tests {
 
     #[test]
     fn smoke_rows_pass_and_report_names_the_band() {
-        let (code, text) = sample_report(&tiny());
-        assert_eq!(code, 0, "{text}");
+        let report = sample_report(&tiny());
+        let text = report.text;
+        assert!(report.pass, "{text}");
         assert!(text.contains("sampled vs full attributed cycles"), "{text}");
         assert!(text.contains("471.omnetpp"), "{text}");
         assert!(text.contains("mallacc"), "{text}");
@@ -415,26 +376,22 @@ mod tests {
     #[test]
     fn report_is_identical_across_jobs() {
         let mut a = tiny();
-        let (c1, seq) = sample_report(&a);
+        let seq = sample_report(&a);
         a.jobs = 4;
-        let (c2, par) = sample_report(&a);
-        assert_eq!((c1, c2), (0, 0));
-        assert_eq!(seq, par, "--jobs must not change a single byte");
+        let par = sample_report(&a);
+        assert!(seq.pass && par.pass);
+        assert_eq!(seq.text, par.text, "--jobs must not change a single byte");
     }
 
     #[test]
-    fn json_export_parses_and_carries_the_verdict() {
-        let dir = std::env::temp_dir().join(format!("repro-sample-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn json_export_carries_the_rows() {
         let a = SampleArgs {
-            json: Some(dir.join("sample.json")),
+            json: Some("sample.json".into()),
             ..tiny()
         };
-        let (code, _) = sample_report(&a);
-        assert_eq!(code, 0);
-        let data =
-            mallacc_stats::json::parse(&std::fs::read_to_string(dir.join("sample.json")).unwrap())
-                .unwrap();
+        let report = sample_report(&a);
+        assert!(report.pass);
+        let data = &report.json[0].1;
         assert_eq!(
             data.get("schema").and_then(Json::as_str),
             Some("mallacc-sample/1")
@@ -443,7 +400,6 @@ mod tests {
             data.get("rows").and_then(Json::as_arr).map(<[Json]>::len),
             Some(4)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -459,8 +415,9 @@ mod tests {
                 mallocs: 1_200,
                 ..SampleArgs::default()
             };
-            let (code, text) = sample_report(&a);
-            assert_eq!(code, 0, "{kind:?}:\n{text}");
+            let report = sample_report(&a);
+            let text = report.text;
+            assert!(report.pass, "{kind:?}:\n{text}");
             assert!(!text.contains("FUNCTIONAL DRIFT"), "{kind:?}:\n{text}");
         }
     }
@@ -473,8 +430,9 @@ mod tests {
             mallocs: 400,
             ..SampleArgs::default()
         };
-        let (code, text) = sample_report(&a);
-        assert_eq!(code, 0, "{text}");
+        let report = sample_report(&a);
+        let text = report.text;
+        assert!(report.pass, "{text}");
         assert!(text.contains("+0.00%"), "{text}");
     }
 }

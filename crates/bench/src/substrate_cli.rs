@@ -1,13 +1,6 @@
 //! The `repro substrate` subcommand: the Mallacc-vs-offload-vs-both
 //! head-to-head across every allocator substrate.
 //!
-//! ```text
-//! repro substrate [--smoke] [--full] [--workload NAME]...
-//!                 [--substrate NAME]... [--calls N] [--warmup N]
-//!                 [--seed N] [--jobs N] [--sim full|sampled[:W:D:P[:S]]]
-//!                 [--json PATH]
-//! ```
-//!
 //! The paper evaluates the malloc cache on TCMalloc only and argues the
 //! design generalises because it keys on requested size, not on any
 //! TCMalloc data structure. This report checks the claim on four
@@ -30,7 +23,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, CommonSpec, Report, ScaleFlag};
 use mallacc::{Mode, SimMode};
 use mallacc_stats::table::Table;
 use mallacc_stats::Json;
@@ -95,23 +88,17 @@ impl SubstrateArgs {
     }
 
     /// Parses the argument list after `substrate`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
+    /// collected by [`cli::parse_flags`] and applied last, so
     /// explicit lists win over `--smoke`/`--full` regardless of order.
     pub fn parse(args: &[String]) -> Result<SubstrateArgs, String> {
-        let mut common = CommonFlags::default();
         let mut substrates = Vec::new();
         let mut workloads = Vec::new();
         let (mut calls, mut warmup) = (None, None);
         let mut sim = None;
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
-            }
-            match args[i].as_str() {
+        let common = cli::parse_flags(args, "substrate", CommonSpec::ALL, |flag, f| {
+            match flag {
                 "--substrate" => {
-                    let name = cli::value(args, &mut i, "--substrate")?;
+                    let name = f.value(flag)?;
                     let kind = SubstrateKind::by_name(&name).ok_or_else(|| {
                         format!(
                             "unknown substrate {name:?} (use tcmalloc/jemalloc/rpmalloc/percpu)"
@@ -119,22 +106,14 @@ impl SubstrateArgs {
                     })?;
                     substrates.push(kind);
                 }
-                "--workload" => workloads.push(cli::value(args, &mut i, "--workload")?),
-                "--calls" => {
-                    calls =
-                        Some(cli::int(cli::value(args, &mut i, "--calls")?, "--calls")? as usize);
-                }
-                "--warmup" => {
-                    warmup =
-                        Some(cli::int(cli::value(args, &mut i, "--warmup")?, "--warmup")? as usize);
-                }
-                "--sim" => {
-                    sim = Some(SimMode::parse(&cli::value(args, &mut i, "--sim")?)?);
-                }
-                other => return Err(format!("unknown substrate flag {other:?}")),
+                "--workload" => workloads.push(f.value(flag)?),
+                "--calls" => calls = Some(f.int(flag)? as usize),
+                "--warmup" => warmup = Some(f.int(flag)? as usize),
+                "--sim" => sim = Some(SimMode::parse(&f.value(flag)?)?),
+                _ => return Ok(false),
             }
-            i += 1;
-        }
+            Ok(true)
+        })?;
         let mut parsed = match common.scale {
             Some(ScaleFlag::Full) => SubstrateArgs::full(),
             _ => SubstrateArgs::default(),
@@ -145,21 +124,11 @@ impl SubstrateArgs {
         if !workloads.is_empty() {
             parsed.workloads = workloads;
         }
-        if let Some(v) = calls {
-            parsed.calls = v;
-        }
-        if let Some(v) = warmup {
-            parsed.warmup = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
-        if let Some(sim) = sim {
-            parsed.sim = sim;
-        }
+        parsed.calls = calls.unwrap_or(parsed.calls);
+        parsed.warmup = warmup.unwrap_or(parsed.warmup);
+        parsed.seed = common.seed.unwrap_or(parsed.seed);
+        parsed.jobs = common.jobs.unwrap_or(parsed.jobs);
+        parsed.sim = sim.unwrap_or(parsed.sim);
         parsed.json = common.json;
         if parsed.calls == 0 {
             return Err("--calls must be at least 1".to_string());
@@ -335,10 +304,9 @@ fn summary_section(args: &SubstrateArgs, cells: &[Cell]) -> (String, Json) {
     (text, Json::obj([("rows", Json::Arr(json_rows))]))
 }
 
-/// Runs `repro substrate` and returns `(exit code, report text)`. Split
-/// from [`substrate`] so tests and the golden snapshot can capture the
-/// output.
-pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
+/// Runs `repro substrate`; Mallacc regressing beyond the probe-overhead
+/// bound on any substrate fails the verdict.
+pub fn substrate_report(args: &SubstrateArgs) -> Report {
     let mut out = format!(
         "repro substrate: {} substrates x {} workloads x 4 variants, calls {}, seed {}\n\n",
         args.substrates.len(),
@@ -384,6 +352,8 @@ pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
         }
     ));
 
+    let mut report = Report::new(out);
+    report.pass = pass;
     if let Some(path) = &args.json {
         let doc = Json::obj([
             ("schema", Json::from("mallacc-substrate/1")),
@@ -399,27 +369,9 @@ pub fn substrate_report(args: &SubstrateArgs) -> (i32, String) {
             ("summary", sum_json),
             ("pass", Json::from(pass)),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro substrate: writing {}: {e}", path.display());
-            return (1, out);
-        }
-        out.push_str(&format!("\nwrote {}", path.display()));
+        report.json.push((path.clone(), doc));
     }
-    (if pass { 0 } else { 1 }, out)
-}
-
-/// Runs `repro substrate`; returns the process exit code.
-pub fn substrate(args: &[String]) -> i32 {
-    let parsed = match SubstrateArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro substrate: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = substrate_report(&parsed);
-    println!("{text}");
-    code
+    report
 }
 
 #[cfg(test)]
@@ -475,8 +427,9 @@ mod tests {
 
     #[test]
     fn report_covers_every_substrate_and_passes() {
-        let (code, text) = substrate_report(&tiny());
-        assert_eq!(code, 0, "{text}");
+        let report = substrate_report(&tiny());
+        let text = report.text;
+        assert!(report.pass, "{text}");
         for needle in [
             "per-substrate head-to-head",
             "per-substrate summary",
@@ -493,27 +446,22 @@ mod tests {
     #[test]
     fn report_is_identical_across_jobs() {
         let mut a = tiny();
-        let (c1, seq) = substrate_report(&a);
+        let seq = substrate_report(&a);
         a.jobs = 4;
-        let (c2, par) = substrate_report(&a);
-        assert_eq!((c1, c2), (0, 0));
-        assert_eq!(seq, par, "--jobs must not change a single byte");
+        let par = substrate_report(&a);
+        assert!(seq.pass && par.pass);
+        assert_eq!(seq.text, par.text, "--jobs must not change a single byte");
     }
 
     #[test]
-    fn json_export_parses_and_carries_the_summary() {
-        let dir = std::env::temp_dir().join(format!("repro-substrate-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn json_export_carries_the_summary() {
         let a = SubstrateArgs {
-            json: Some(dir.join("substrate.json")),
+            json: Some("substrate.json".into()),
             ..tiny()
         };
-        let (code, _) = substrate_report(&a);
-        assert_eq!(code, 0);
-        let data = mallacc_stats::json::parse(
-            &std::fs::read_to_string(dir.join("substrate.json")).unwrap(),
-        )
-        .unwrap();
+        let report = substrate_report(&a);
+        assert!(report.pass);
+        let data = &report.json[0].1;
         assert_eq!(
             data.get("schema").and_then(Json::as_str),
             Some("mallacc-substrate/1")
@@ -526,6 +474,5 @@ mod tests {
             Some(4)
         );
         assert!(matches!(data.get("pass"), Some(Json::Bool(true))));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,6 @@
 //! The `repro validate` subcommand: simulator validation and conformance,
 //! driven by `mallacc-validate`.
 //!
-//! ```text
-//! repro validate [--smoke] [--full] [--kernel-n N] [--fuzz N] [--laws N]
-//!                [--offload-fuzz N] [--sample-fuzz N] [--substrate-fuzz N]
-//!                [--seed N] [--jobs N] [--json PATH]
-//! ```
-//!
 //! Six independent sections, any of which can fail the run (exit 1):
 //!
 //! 1. **Analytic latency oracle** — every Table-1 kernel's simulated
@@ -37,7 +31,7 @@
 
 use std::path::PathBuf;
 
-use crate::cli::{self, run_indexed, CommonFlags, CommonSpec, ScaleFlag};
+use crate::cli::{self, run_indexed, CommonSpec, Report, ScaleFlag};
 use mallacc_ooo::SamplingPlan;
 use mallacc_stats::table::Table;
 use mallacc_stats::Json;
@@ -98,56 +92,26 @@ impl Default for ValidateArgs {
 
 impl ValidateArgs {
     /// Parses the argument list after `validate`. Shared flags are
-    /// collected via [`crate::cli`] and applied after the loop, so
+    /// collected by [`cli::parse_flags`] and applied last, so
     /// explicit scales win over `--smoke`/`--full` regardless of flag
     /// order.
     pub fn parse(args: &[String]) -> Result<ValidateArgs, String> {
         let mut parsed = ValidateArgs::default();
-        let mut common = CommonFlags::default();
         let (mut kernel_n, mut fuzz_slots, mut law_cases, mut offload_slots) =
             (None, None, None, None);
         let (mut sample_slots, mut substrate_slots) = (None, None);
-        let mut i = 0;
-        while i < args.len() {
-            if cli::take_common(args, &mut i, &CommonSpec::ALL, &mut common)? {
-                i += 1;
-                continue;
+        let common = cli::parse_flags(args, "validate", CommonSpec::ALL, |flag, f| {
+            match flag {
+                "--kernel-n" => kernel_n = Some(f.int(flag)?),
+                "--fuzz" => fuzz_slots = Some(f.int(flag)?),
+                "--laws" => law_cases = Some(f.int(flag)?),
+                "--offload-fuzz" => offload_slots = Some(f.int(flag)?),
+                "--sample-fuzz" => sample_slots = Some(f.int(flag)?),
+                "--substrate-fuzz" => substrate_slots = Some(f.int(flag)?),
+                _ => return Ok(false),
             }
-            match args[i].as_str() {
-                "--kernel-n" => {
-                    kernel_n = Some(cli::int(
-                        cli::value(args, &mut i, "--kernel-n")?,
-                        "--kernel-n",
-                    )?);
-                }
-                "--fuzz" => {
-                    fuzz_slots = Some(cli::int(cli::value(args, &mut i, "--fuzz")?, "--fuzz")?);
-                }
-                "--laws" => {
-                    law_cases = Some(cli::int(cli::value(args, &mut i, "--laws")?, "--laws")?);
-                }
-                "--offload-fuzz" => {
-                    offload_slots = Some(cli::int(
-                        cli::value(args, &mut i, "--offload-fuzz")?,
-                        "--offload-fuzz",
-                    )?);
-                }
-                "--sample-fuzz" => {
-                    sample_slots = Some(cli::int(
-                        cli::value(args, &mut i, "--sample-fuzz")?,
-                        "--sample-fuzz",
-                    )?);
-                }
-                "--substrate-fuzz" => {
-                    substrate_slots = Some(cli::int(
-                        cli::value(args, &mut i, "--substrate-fuzz")?,
-                        "--substrate-fuzz",
-                    )?);
-                }
-                other => return Err(format!("unknown validate flag {other:?}")),
-            }
-            i += 1;
-        }
+            Ok(true)
+        })?;
         match common.scale {
             Some(ScaleFlag::Smoke) => {
                 parsed.kernel_n = 2_000;
@@ -169,30 +133,14 @@ impl ValidateArgs {
             }
             None => {}
         }
-        if let Some(v) = kernel_n {
-            parsed.kernel_n = v;
-        }
-        if let Some(v) = fuzz_slots {
-            parsed.fuzz_slots = v;
-        }
-        if let Some(v) = law_cases {
-            parsed.law_cases = v;
-        }
-        if let Some(v) = offload_slots {
-            parsed.offload_slots = v;
-        }
-        if let Some(v) = sample_slots {
-            parsed.sample_slots = v;
-        }
-        if let Some(v) = substrate_slots {
-            parsed.substrate_slots = v;
-        }
-        if let Some(seed) = common.seed {
-            parsed.seed = seed;
-        }
-        if let Some(jobs) = common.jobs {
-            parsed.jobs = jobs;
-        }
+        parsed.kernel_n = kernel_n.unwrap_or(parsed.kernel_n);
+        parsed.fuzz_slots = fuzz_slots.unwrap_or(parsed.fuzz_slots);
+        parsed.law_cases = law_cases.unwrap_or(parsed.law_cases);
+        parsed.offload_slots = offload_slots.unwrap_or(parsed.offload_slots);
+        parsed.sample_slots = sample_slots.unwrap_or(parsed.sample_slots);
+        parsed.substrate_slots = substrate_slots.unwrap_or(parsed.substrate_slots);
+        parsed.seed = common.seed.unwrap_or(parsed.seed);
+        parsed.jobs = common.jobs.unwrap_or(parsed.jobs);
         parsed.json = common.json;
         if parsed.kernel_n == 0 {
             return Err("--kernel-n must be at least 1".to_string());
@@ -614,9 +562,9 @@ fn substrate_section(args: &ValidateArgs) -> (String, Json, bool, SubstrateFuzzR
     (text, json, pass, report)
 }
 
-/// Runs `repro validate` and returns `(exit code, report text)`. Split
-/// from [`validate`] so tests can capture the output.
-pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
+/// Runs `repro validate`; any out-of-band kernel, divergence or law
+/// violation fails the verdict.
+pub fn validate_report(args: &ValidateArgs) -> Report {
     let mut out = format!(
         "repro validate: kernels n={}, fuzz slots={}, law cases={}/law, offload slots={}, sample slots={}, substrate slots={}, seed {}\n\n",
         args.kernel_n, args.fuzz_slots, args.law_cases, args.offload_slots, args.sample_slots,
@@ -646,6 +594,8 @@ pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
         if pass { "PASS" } else { "FAIL" }
     ));
 
+    let mut report = Report::new(out);
+    report.pass = pass;
     if let Some(path) = &args.json {
         let doc = Json::obj([
             ("schema", Json::from("mallacc-validate/1")),
@@ -673,27 +623,9 @@ pub fn validate_report(args: &ValidateArgs) -> (i32, String) {
             ("substrate", substrate_json),
             ("pass", Json::from(pass)),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("repro validate: writing {}: {e}", path.display());
-            return (1, out);
-        }
-        out.push_str(&format!("\nwrote {}", path.display()));
+        report.json.push((path.clone(), doc));
     }
-    (if pass { 0 } else { 1 }, out)
-}
-
-/// Runs `repro validate`; returns the process exit code.
-pub fn validate(args: &[String]) -> i32 {
-    let parsed = match ValidateArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("repro validate: {e}");
-            return 2;
-        }
-    };
-    let (code, text) = validate_report(&parsed);
-    println!("{text}");
-    code
+    report
 }
 
 #[cfg(test)]
@@ -746,8 +678,9 @@ mod tests {
 
     #[test]
     fn smoke_passes_and_report_names_all_sections() {
-        let (code, text) = validate_report(&tiny());
-        assert_eq!(code, 0, "{text}");
+        let report = validate_report(&tiny());
+        let text = report.text;
+        assert!(report.pass, "{text}");
         assert!(text.contains("analytic latency oracle"), "{text}");
         assert!(text.contains("reference-spec conformance"), "{text}");
         assert!(text.contains("metamorphic laws"), "{text}");
@@ -762,32 +695,27 @@ mod tests {
     #[test]
     fn report_is_identical_across_jobs() {
         let mut a = tiny();
-        let (c1, seq) = validate_report(&a);
+        let seq = validate_report(&a);
         a.jobs = 4;
-        let (c2, par) = validate_report(&a);
-        assert_eq!((c1, c2), (0, 0));
-        assert_eq!(seq, par, "--jobs must not change a single byte");
+        let par = validate_report(&a);
+        assert!(seq.pass && par.pass);
+        assert_eq!(seq.text, par.text, "--jobs must not change a single byte");
     }
 
     #[test]
-    fn json_export_parses_and_carries_the_verdict() {
-        let dir = std::env::temp_dir().join(format!("repro-validate-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn json_export_carries_the_verdict() {
         let a = ValidateArgs {
-            json: Some(dir.join("validate.json")),
+            json: Some("validate.json".into()),
             ..tiny()
         };
-        let (code, _) = validate_report(&a);
-        assert_eq!(code, 0);
-        let data = mallacc_stats::json::parse(
-            &std::fs::read_to_string(dir.join("validate.json")).unwrap(),
-        )
-        .unwrap();
+        let report = validate_report(&a);
+        assert!(report.pass);
+        let data = &report.json[0].1;
         assert_eq!(
             data.get("schema").and_then(Json::as_str),
             Some("mallacc-validate/1")
         );
-        assert_eq!(data.get("pass").and_then(Json::as_f64), None);
+        assert!(matches!(data.get("pass"), Some(Json::Bool(true))));
         assert_eq!(
             data.get("oracle")
                 .and_then(|o| o.get("kernels"))
@@ -795,7 +723,6 @@ mod tests {
                 .map(<[Json]>::len),
             Some(9)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -807,8 +734,8 @@ mod tests {
             require_full_coverage: true,
             ..tiny()
         };
-        let (code, text) = validate_report(&a);
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("missing:"), "{text}");
+        let report = validate_report(&a);
+        assert!(!report.pass, "{}", report.text);
+        assert!(report.text.contains("missing:"), "{}", report.text);
     }
 }

@@ -160,7 +160,7 @@ pub struct CallInfo {
 /// so no emitter reads the allocator: software republishes the head, the
 /// accelerator's resyncs and `mcnxtprefetch` learn the pair. The
 /// multi-core layer captures it during its serial functional phase and
-/// replays timing later — see [`Driver::time_malloc`].
+/// replays timing later — see [`Shell::time_malloc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PostList {
     /// Head of the class's free list after the call.
@@ -351,7 +351,23 @@ pub struct Shell {
 }
 
 impl Shell {
-    fn new(mode: Mode, mc_cfg: MallocCacheConfig, core_cfg: CoreConfig) -> Self {
+    /// The paper's core in `mode`, for substrate `F`'s fast path. The
+    /// multi-core replay times captured calls on such shells, with no
+    /// functional heap behind them.
+    pub fn new<F: FastPath>(mode: Mode) -> Self {
+        Self::with_core::<F>(mode, CoreConfig::haswell())
+    }
+
+    /// A core in `mode` configured by `core_cfg`; the malloc cache keys
+    /// sizes as `F` requires.
+    fn with_core<F: FastPath>(mode: Mode, core_cfg: CoreConfig) -> Self {
+        let mut mc_cfg = match mode {
+            Mode::Mallacc(a) => a.cache,
+            _ => MallocCacheConfig::paper_default(),
+        };
+        if let Some(keying) = F::KEYING {
+            mc_cfg.keying = keying;
+        }
         Self {
             ctx: EmitCtx {
                 mode,
@@ -464,6 +480,44 @@ impl Shell {
     /// Panics if `fraction` is outside `[0, 1]`.
     pub fn antagonize(&mut self, fraction: f64) {
         self.ctx.cpu.mem_mut().evict_antagonist(fraction);
+    }
+
+    /// Replays the timing of an already-performed malloc of substrate `F`:
+    /// pushes the call's µop program through the core. `post` is the
+    /// post-call state as captured by whoever performed the call;
+    /// `contention_cycles` stalls the call up front (the multi-core
+    /// shared-structure contention model).
+    pub fn time_malloc<F: FastPath>(
+        &mut self,
+        outcome: &F::Malloc,
+        post: PostList,
+        contention_cycles: u64,
+    ) -> CallRecord {
+        self.time_call(F::malloc_info(outcome), contention_cycles, |sh| {
+            F::emit_malloc(sh, outcome, post)
+        })
+    }
+
+    /// Replays the timing of an already-performed free; the counterpart of
+    /// [`Shell::time_malloc`].
+    pub fn time_free<F: FastPath>(
+        &mut self,
+        outcome: &F::Free,
+        post: PostList,
+        contention_cycles: u64,
+    ) -> CallRecord {
+        self.time_call(F::free_info(outcome), contention_cycles, |sh| {
+            F::emit_free(sh, outcome, post)
+        })
+    }
+
+    /// Invalidates the malloc cache's cached list for the raw class `raw`
+    /// (the size mapping survives). The multi-core layer issues this on
+    /// the victim core when another thread mutates its free list out from
+    /// under the accelerator — the §4.1 copies-only design makes the drop
+    /// free of writebacks, so it costs no µops.
+    pub fn invalidate_mc_list(&mut self, raw: u16) {
+        self.ctx.mc.invalidate_list(raw);
     }
 
     /// The machine side of a context switch; see [`Driver::context_switch`].
@@ -776,15 +830,8 @@ impl<F: FastPath> Driver<F> {
 
     /// Creates a simulator over `alloc` on a core configured by `core_cfg`.
     pub fn with_allocator(mode: Mode, alloc: F, core_cfg: CoreConfig) -> Self {
-        let mut mc_cfg = match mode {
-            Mode::Mallacc(a) => a.cache,
-            _ => MallocCacheConfig::paper_default(),
-        };
-        if let Some(keying) = F::KEYING {
-            mc_cfg.keying = keying;
-        }
         Self {
-            shell: Shell::new(mode, mc_cfg, core_cfg),
+            shell: Shell::with_core::<F>(mode, core_cfg),
             alloc,
         }
     }
@@ -798,7 +845,7 @@ impl<F: FastPath> Driver<F> {
     pub fn malloc(&mut self, size: u64) -> CallRecord {
         let thread = self.alloc.current_thread();
         let (outcome, post) = self.alloc.serve_malloc(thread, size);
-        self.time_malloc(&outcome, post, 0)
+        self.shell.time_malloc::<F>(&outcome, post, 0)
     }
 
     /// Simulates one free call. `sized` selects C++14 sized deallocation.
@@ -809,47 +856,7 @@ impl<F: FastPath> Driver<F> {
     pub fn free(&mut self, ptr: Addr, sized: bool) -> CallRecord {
         let thread = self.alloc.current_thread();
         let (outcome, post) = self.alloc.serve_free(thread, ptr, sized);
-        self.time_free(&outcome, post, 0)
-    }
-
-    /// Replays the timing of an already-performed malloc: pushes the call's
-    /// µop program through the core without touching this sim's functional
-    /// allocator. `post` is the post-call state as captured by whoever
-    /// performed the call; `contention_cycles` stalls the call up front
-    /// (the multi-core shared-structure contention model).
-    pub fn time_malloc(
-        &mut self,
-        outcome: &F::Malloc,
-        post: PostList,
-        contention_cycles: u64,
-    ) -> CallRecord {
-        self.shell
-            .time_call(F::malloc_info(outcome), contention_cycles, |sh| {
-                F::emit_malloc(sh, outcome, post)
-            })
-    }
-
-    /// Replays the timing of an already-performed free; the counterpart of
-    /// [`Driver::time_malloc`].
-    pub fn time_free(
-        &mut self,
-        outcome: &F::Free,
-        post: PostList,
-        contention_cycles: u64,
-    ) -> CallRecord {
-        self.shell
-            .time_call(F::free_info(outcome), contention_cycles, |sh| {
-                F::emit_free(sh, outcome, post)
-            })
-    }
-
-    /// Invalidates the malloc cache's cached list for the raw class `raw`
-    /// (the size mapping survives). The multi-core layer issues this on
-    /// the victim core when another thread mutates its free list out from
-    /// under the accelerator — the §4.1 copies-only design makes the drop
-    /// free of writebacks, so it costs no µops.
-    pub fn invalidate_mc_list(&mut self, raw: u16) {
-        self.shell.ctx.mc.invalidate_list(raw);
+        self.shell.time_free::<F>(&outcome, post, 0)
     }
 
     /// Models a context switch: the malloc cache is flushed wholesale

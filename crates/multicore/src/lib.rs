@@ -28,8 +28,9 @@
 //!   ([`SharedRes`](mallacc::SharedRes)), so contention is priced the same
 //!   way for every substrate.
 //! * **Phase B — parallel timing replay** ([`MulticoreSim::run`]): each
-//!   core replays its stream on its own [`Driver<F>`](mallacc::Driver) —
-//!   a private out-of-order engine, L1/L2 and malloc cache — running on
+//!   core replays its stream on its own [`Shell`](mallacc::Shell) —
+//!   a private out-of-order engine, L1/L2 and malloc cache, timing `F`'s
+//!   µop programs with no functional heap behind it — running on
 //!   its own host thread. The cores share one L3 through the
 //!   snapshot/commit epoch protocol of [`SharedL3`](mallacc_cache::SharedL3),
 //!   so cross-core cache pressure is modelled (with one epoch of lag) while

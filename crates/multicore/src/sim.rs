@@ -19,9 +19,7 @@
 
 use std::marker::PhantomData;
 
-use mallacc::{
-    CallRecord, Driver, FastPath, MallocCacheStats, Mode, SimMode, SimTotals, TraceSink,
-};
+use mallacc::{CallRecord, FastPath, MallocCacheStats, Mode, Shell, SimMode, SimTotals, TraceSink};
 use mallacc_cache::{Addr, CacheStats, SharedL3};
 use mallacc_tcmalloc::{AllocStats, TcMalloc};
 use mallacc_workloads::{MtOp, MtTrace};
@@ -40,7 +38,7 @@ fn app_base(core: usize) -> Addr {
 
 /// The N-core simulator of substrate `F` (TCMalloc by default): functional
 /// capture on one shared heap plus epoch-parallel replay on per-core
-/// [`Driver`]s.
+/// [`Shell`]s.
 ///
 /// # Example
 ///
@@ -156,8 +154,9 @@ impl<S> MtRunResult<S> {
 }
 
 /// One core's replay state (engine + stream cursor + app-touch cursor).
+/// Replay only times captured calls, so the core carries no heap.
 struct CoreReplay<F: FastPath> {
-    sim: Driver<F>,
+    sim: Shell,
     stream: Vec<CoreEvent<F>>,
     pos: usize,
     touch_cursor: u64,
@@ -180,14 +179,14 @@ impl<F: FastPath> CoreReplay<F> {
                     post,
                     contention,
                 } => {
-                    let _: CallRecord = self.sim.time_malloc(outcome, *post, *contention);
+                    let _: CallRecord = self.sim.time_malloc::<F>(outcome, *post, *contention);
                 }
                 CoreEvent::Free {
                     outcome,
                     post,
                     contention,
                 } => {
-                    let _: CallRecord = self.sim.time_free(outcome, *post, *contention);
+                    let _: CallRecord = self.sim.time_free::<F>(outcome, *post, *contention);
                 }
                 CoreEvent::AppRun { cycles } => self.sim.app_run(*cycles),
                 CoreEvent::AppTouch {
@@ -344,7 +343,7 @@ impl<F: FastPath> MulticoreSim<F> {
             .into_iter()
             .enumerate()
             .map(|(core, stream)| {
-                let mut sim = Driver::<F>::new(self.mode);
+                let mut sim = Shell::new::<F>(self.mode);
                 sim.set_sampling(self.sim.plan());
                 sim.memory_mut().set_l3_logging(true);
                 if let Some(sink) = sink_slots[core].take() {

@@ -19,7 +19,7 @@ use crate::layout;
 use crate::page_heap::{PageHeap, SpanId};
 use crate::sampler::Sampler;
 use crate::size_class::{class_index, consts, ClassId, SizeClasses};
-use crate::transfer::{TransferCache, TransferStats};
+use crate::transfer::TransferCache;
 
 /// Which pool ultimately served a malloc call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -338,19 +338,9 @@ impl TcMalloc {
         self.threads[tid].cache_bytes
     }
 
-    /// Current head of a class's free list in thread 0's cache.
-    pub fn list_head(&self, cls: ClassId) -> Option<Addr> {
-        self.list_head_on(0, cls)
-    }
-
     /// Current head of a class's free list in thread `tid`'s cache.
     pub fn list_head_on(&self, tid: usize, cls: ClassId) -> Option<Addr> {
         self.threads[tid].lists[cls.0 as usize].head()
-    }
-
-    /// Second element of a class's free list in thread 0's cache.
-    pub fn list_next_after_head(&self, cls: ClassId) -> Option<Addr> {
-        self.list_next_after_head_on(0, cls)
     }
 
     /// Second element of a class's free list in thread `tid`'s cache.
@@ -378,11 +368,6 @@ impl TcMalloc {
     /// Objects currently parked in the transfer cache for `cls`.
     pub fn transfer_len(&self, cls: ClassId) -> usize {
         self.transfer[cls.0 as usize].len()
-    }
-
-    /// Transfer-cache statistics for `cls`.
-    pub fn transfer_stats(&self, cls: ClassId) -> TransferStats {
-        self.transfer[cls.0 as usize].stats()
     }
 
     /// Objects currently in the central free list for `cls`.

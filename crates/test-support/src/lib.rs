@@ -11,9 +11,13 @@
 //!
 //! Everything returns `impl Strategy`, so suites can keep composing
 //! (`prop_map`, weighting) on top of the shared bases.
+//!
+//! The golden-snapshot suites share one comparison, [`assert_golden`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::path::Path;
 
 use proptest::prelude::*;
 
@@ -283,6 +287,49 @@ impl RefHeap {
         let i = (selector % self.order.len() as u64) as usize;
         self.order.get(i).copied()
     }
+}
+
+/// Compares `actual` with the snapshot `tests/golden/<name>` of the
+/// workspace, or rewrites the snapshot when `UPDATE_GOLDEN` is set. A
+/// mismatch names the first line that differs; review an intentional
+/// change's diff like any other code change.
+///
+/// # Panics
+///
+/// Panics when the snapshot is missing or differs from `actual`.
+pub fn assert_golden(name: &str, actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing snapshot {}: {e}\nregenerate with UPDATE_GOLDEN=1 cargo test",
+            path.display()
+        )
+    });
+    if let Some((n, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+    {
+        panic!(
+            "drift against {} at line {}:\n  expected: {want}\n  actual:   {got}\n\
+             If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
+            path.display(),
+            n + 1
+        );
+    }
+    assert!(
+        expected == actual,
+        "drift against {}: the report's length changed.\n--- actual ---\n{actual}\n\
+         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
+        path.display()
+    );
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use mallacc::{CallRecord, Mode, SamplingPlan};
 use mallacc_substrate::{AnySim, SubstrateKind};
+use mallacc_test_support::assert_golden;
 
 /// Calls printed one by one at the head of every run, besides the large
 /// ones; the rest of the run is pinned by a digest over every call.
@@ -180,29 +180,5 @@ fn report() -> String {
 
 #[test]
 fn every_driver_matches_its_snapshot() {
-    let actual = report();
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/driver_substrates.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test driver_golden",
-            path.display()
-        )
-    });
-    if let Some((n, (want, got))) = expected
-        .lines()
-        .zip(actual.lines())
-        .enumerate()
-        .find(|(_, (a, b))| a != b)
-    {
-        panic!(
-            "driver drift against {} at line {}:\n  expected: {want}\n  actual:   {got}",
-            path.display(),
-            n + 1
-        );
-    }
-    assert_eq!(expected, actual, "driver snapshot length drift");
+    assert_golden("driver_substrates.txt", &report());
 }

@@ -85,9 +85,8 @@ proptest! {
             jobs,
             ..FleetArgs::default()
         };
-        let (c1, seq) = fleet_report(&args(1));
-        let (c4, par) = fleet_report(&args(4));
-        prop_assert_eq!((c1, c4), (0, 0));
+        let seq = fleet_report(&args(1)).unwrap().text;
+        let par = fleet_report(&args(4)).unwrap().text;
         prop_assert_eq!(seq, par, "--jobs changed the report bytes");
     }
 }

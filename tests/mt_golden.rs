@@ -20,45 +20,20 @@
 //!
 //! and review the diff like any other code change.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+mod common;
 
+use std::fmt::Write as _;
+
+use common::repro;
 use mallacc::{Mode, SimMode};
-use mallacc_bench::{mt, Scale};
 use mallacc_explore::run_multicore;
 use mallacc_substrate::SubstrateKind;
+use mallacc_test_support::assert_golden;
 use mallacc_workloads::{MacroWorkload, MtTrace};
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test mt_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "mt report drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
 
 #[test]
 fn quick_report_matches_snapshot() {
-    assert_golden("mt_quick.txt", &mt::mt(Scale::quick()));
+    assert_golden("mt_quick.txt", &repro(&["mt", "--quick"]));
 }
 
 fn substrate_report() -> String {

@@ -184,9 +184,8 @@ proptest! {
             jobs,
             ..OffloadArgs::default()
         };
-        let (c1, seq) = offload_report(&args(1));
-        let (c4, par) = offload_report(&args(4));
-        prop_assert_eq!((c1, c4), (0, 0));
+        let seq = offload_report(&args(1)).text;
+        let par = offload_report(&args(4)).text;
         prop_assert_eq!(seq, par, "--jobs changed the report bytes");
     }
 }

@@ -13,55 +13,21 @@
 //! and review the diff like any other code change — unintentional drift
 //! in the sampled CPI extrapolation fails CI.
 
-use std::path::PathBuf;
+mod common;
 
-use mallacc_bench::sample_cli::{sample_report, SampleArgs};
+use common::repro;
+use mallacc_test_support::assert_golden;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test sample_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "sampling drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
-
-fn smoke_args(jobs: usize) -> SampleArgs {
-    SampleArgs {
-        jobs,
-        ..SampleArgs::default()
-    }
+fn smoke(jobs: &str) -> String {
+    repro(&["sample", "--smoke", "--jobs", jobs])
 }
 
 #[test]
 fn smoke_report_matches_snapshot_and_passes() {
-    let (code, text) = sample_report(&smoke_args(1));
-    assert_eq!(code, 0, "smoke sampling must pass on main:\n{text}");
-    assert_golden("sample_smoke.txt", &text);
+    assert_golden("sample_smoke.txt", &smoke("1"));
 }
 
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let (c1, seq) = sample_report(&smoke_args(1));
-    let (c4, par) = sample_report(&smoke_args(4));
-    assert_eq!((c1, c4), (0, 0));
-    assert_eq!(seq, par, "--jobs must not change the report");
+    assert_eq!(smoke("1"), smoke("4"), "--jobs must not change the report");
 }

@@ -198,12 +198,12 @@ proptest! {
             jobs,
             ..SampleArgs::default()
         };
-        let (code_seq, seq) = sample_report(&args(1));
-        let (code_rerun, rerun) = sample_report(&args(1));
-        let (code_par, par) = sample_report(&args(3));
-        prop_assert_eq!(code_seq, code_rerun, "exit code drifted across reruns");
-        prop_assert_eq!(&seq, &rerun, "report drifted across reruns");
-        prop_assert_eq!(code_seq, code_par, "exit code depends on --jobs");
-        prop_assert_eq!(&seq, &par, "--jobs changed a report byte");
+        let seq = sample_report(&args(1));
+        let rerun = sample_report(&args(1));
+        let par = sample_report(&args(3));
+        prop_assert_eq!(seq.pass, rerun.pass, "verdict drifted across reruns");
+        prop_assert_eq!(&seq.text, &rerun.text, "report drifted across reruns");
+        prop_assert_eq!(seq.pass, par.pass, "verdict depends on --jobs");
+        prop_assert_eq!(&seq.text, &par.text, "--jobs changed a report byte");
     }
 }

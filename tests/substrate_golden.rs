@@ -13,58 +13,23 @@
 //! and review the diff like any other code change — unintentional drift
 //! in any substrate's fast-path timing fails CI.
 
-use std::path::PathBuf;
+mod common;
 
-use mallacc_bench::substrate_cli::{substrate_report, SubstrateArgs};
+use common::repro;
+use mallacc_test_support::assert_golden;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test substrate_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "substrate report drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
-
-fn smoke_args(jobs: usize) -> SubstrateArgs {
-    let args: Vec<String> = ["--smoke", "--jobs", &jobs.to_string()]
-        .iter()
-        .map(|a| a.to_string())
-        .collect();
-    SubstrateArgs::parse(&args).unwrap()
+fn smoke(jobs: &str) -> String {
+    repro(&["substrate", "--smoke", "--jobs", jobs])
 }
 
 #[test]
 fn smoke_report_matches_snapshot() {
-    let (code, text) = substrate_report(&smoke_args(1));
-    assert_eq!(code, 0, "smoke substrate run must pass on main:\n{text}");
-    assert_golden("substrate_smoke.txt", &text);
+    assert_golden("substrate_smoke.txt", &smoke("1"));
 }
 
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let (c1, seq) = substrate_report(&smoke_args(1));
-    let (c4, par) = substrate_report(&smoke_args(4));
-    assert_eq!((c1, c4), (0, 0));
-    assert_eq!(seq, par, "--jobs must not change the report");
+    assert_eq!(smoke("1"), smoke("4"), "--jobs must not change the report");
 }
 
 #[test]
@@ -74,8 +39,7 @@ fn mallacc_wins_where_fast_paths_are_fat() {
     // percpu) must show a positive mean Mallacc improvement; rpmalloc's
     // thin intrusive pop may sit at ~zero but stays inside the
     // probe-overhead bound enforced by the report's own verdict.
-    let (code, text) = substrate_report(&smoke_args(1));
-    assert_eq!(code, 0);
+    let text = smoke("1");
     let summary: Vec<&str> = text
         .lines()
         .skip_while(|l| !l.starts_with("== per-substrate summary"))

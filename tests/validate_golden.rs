@@ -12,49 +12,18 @@
 //! and review the diff like any other code change — unintentional drift
 //! in the oracle numbers or the fuzz corpus fails CI.
 
-use std::path::PathBuf;
+mod common;
 
-use mallacc_bench::validate_cli::{validate_report, ValidateArgs};
+use common::repro;
+use mallacc_test_support::assert_golden;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compares `actual` against the named snapshot, regenerating it when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing snapshot {}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test validate_golden",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "validation drift against {}:\n--- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.",
-        path.display()
-    );
-}
-
-fn smoke_args(jobs: usize) -> ValidateArgs {
-    ValidateArgs {
-        jobs,
-        ..ValidateArgs::default()
-    }
+fn smoke(jobs: &str) -> String {
+    repro(&["validate", "--smoke", "--jobs", jobs])
 }
 
 #[test]
 fn smoke_report_matches_snapshot_and_passes() {
-    let (code, text) = validate_report(&smoke_args(1));
-    assert_eq!(code, 0, "smoke validation must pass on main:\n{text}");
-    assert_golden("validate_smoke.txt", &text);
+    assert_golden("validate_smoke.txt", &smoke("1"));
 }
 
 #[test]
@@ -62,8 +31,7 @@ fn substrate_table_matches_snapshot() {
     // The substrate-conformance section gets its own snapshot so drift
     // in the allocator-law corpus is visible independently of the
     // (much larger) full report.
-    let (code, text) = validate_report(&smoke_args(1));
-    assert_eq!(code, 0, "{text}");
+    let text = smoke("1");
     let section: String = text
         .split("== ")
         .find(|s| s.starts_with("substrate conformance"))
@@ -74,8 +42,5 @@ fn substrate_table_matches_snapshot() {
 
 #[test]
 fn jobs_value_does_not_change_a_byte() {
-    let (c1, seq) = validate_report(&smoke_args(1));
-    let (c4, par) = validate_report(&smoke_args(4));
-    assert_eq!((c1, c4), (0, 0));
-    assert_eq!(seq, par, "--jobs must not change the report");
+    assert_eq!(smoke("1"), smoke("4"), "--jobs must not change the report");
 }
